@@ -27,6 +27,7 @@ use tight_bounds_consensus::sweep::fingerprint;
 use tight_bounds_consensus::valency::adversary;
 
 use crate::experiments::{spread_inits, SpecError};
+use crate::orchestrate::{run_grid, Grid};
 use crate::tablefmt::{check, rate, section, Table};
 
 /// One cell of the adversary-search grid. Cells are plain parameter
@@ -231,14 +232,8 @@ where
 }
 
 /// Runs one adversary-search cell. Cells are seed-free (spread inits,
-/// deterministic adversaries), so the sweep context is unused beyond
-/// the harness contract.
-#[must_use]
-pub fn run_adversary_cell(cell: &AdvCell, ctx: CellCtx) -> CellOutcome {
-    run_adversary_cell_traced(cell, ctx, &consensus_obs::TraceHandle::disabled())
-}
-
-/// [`run_adversary_cell`] with a live trace: the greedy-valency drivers
+/// deterministic adversaries), so the sweep context only names the
+/// trace shard. With an enabled `trace` the greedy-valency drivers
 /// emit one `probe_step` span per adversary step and the beam searches
 /// one `beam_generation` span per committed round, all on
 /// `(ctx.index, lane::PROBE | lane::BEAM)`. Inner probe sets stay
@@ -246,11 +241,7 @@ pub fn run_adversary_cell(cell: &AdvCell, ctx: CellCtx) -> CellOutcome {
 /// scheduling order, and the step-level spans already carry the chosen
 /// `δ̂` per step. The outcome is byte-identical to the untraced run.
 #[must_use]
-pub fn run_adversary_cell_traced(
-    cell: &AdvCell,
-    ctx: CellCtx,
-    trace: &consensus_obs::TraceHandle,
-) -> CellOutcome {
+pub fn run_adversary_cell_traced(cell: &AdvCell, ctx: CellCtx, trace: &TraceHandle) -> CellOutcome {
     let shard = ctx.index as u64;
     match *cell {
         AdvCell::Theorem1 { steps } => {
@@ -467,34 +458,73 @@ pub fn try_adversary_spec(preset: &str) -> Result<AdversarySpec, SpecError> {
     })
 }
 
-/// Runs an adversary-search spec on the sweep pool (`threads = None` ⇒
-/// all cores; the report is identical at any thread count — outer sweep
-/// parallelism and inner fork pools are both index-ordered).
+/// Runs an adversary-search spec on the sweep pool, untraced
+/// ([`run_grid`]; outer sweep parallelism and inner fork pools are both
+/// index-ordered, so the report is identical at any thread count).
 #[must_use]
 pub fn run_adversary(spec: &AdversarySpec, threads: Option<usize>) -> SweepReport {
-    run_adversary_traced(spec, threads, consensus_obs::TraceHandle::disabled())
+    run_grid(spec, threads, &TraceHandle::disabled())
 }
 
-/// [`run_adversary`] with a live trace: per-cell sweep spans, the pool
-/// profile, and the per-cell adversary spans of
-/// [`run_adversary_cell_traced`] land in `trace`; the report is
-/// byte-identical to the untraced run.
-#[must_use]
-pub fn run_adversary_traced(
-    spec: &AdversarySpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.cells.clone())
-        .seed(spec.base_seed)
-        .trace(trace.clone());
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
+impl Grid<1> for AdversarySpec {
+    const NAME: &'static str = "adversary_search";
+    const DESCRIPTION: &'static str = "adaptive adversary search: strict-probe theorem adversaries, pooled vs serial candidate forks, beam vs exhaustive rooted argmax (presets: quick/golden | full)";
+    type Cell = AdvCell;
+
+    fn report_name(&self) -> &str {
+        &self.name
     }
-    let labels: Vec<String> = sweep.cells().iter().map(AdvCell::label).collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let outcomes = sweep.run(|cell, ctx| run_adversary_cell_traced(cell, ctx, &trace));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<AdvCell> {
+        self.cells.clone()
+    }
+
+    fn row_labels(&self, cell: &AdvCell) -> [String; 1] {
+        [cell.label()]
+    }
+
+    fn run_cell(&self, cell: &AdvCell, ctx: CellCtx, trace: &TraceHandle) -> [CellOutcome; 1] {
+        [run_adversary_cell_traced(cell, ctx, trace)]
+    }
+
+    /// The repo's table style: one row per cell plus the cross-cell
+    /// invariant block.
+    fn table(&self, report: &SweepReport) -> String {
+        let mut out = section(&format!(
+            "Adversary search `{}` — {} cells, beam seed {}",
+            report.name,
+            report.outcomes.len(),
+            report.base_seed
+        ));
+        out.push_str(
+            "rate = mean per-round contraction (valency δ̂ for theorem rows, value\ndiameter for adaptive rows); probes run strict where labelled\n\n",
+        );
+        let mut t = Table::new(&["cell", "rate", "rounds", "probes ok", "fingerprint"]);
+        for (i, cell) in self.cells.iter().enumerate() {
+            let o = &report.outcomes[i];
+            t.row(&[
+                cell.label(),
+                rate(o.rate),
+                o.rounds.to_string(),
+                check(o.converged),
+                format!("{:016x}", o.fingerprint),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push('\n');
+        for (desc, ok) in adversary_checks(self, report) {
+            out.push_str(&format!("{} {}\n", check(ok), desc));
+        }
+        out
+    }
 }
 
 /// The grid's cross-cell invariants, as `(description, holds)` rows:
@@ -556,36 +586,4 @@ pub fn adversary_checks(spec: &AdversarySpec, report: &SweepReport) -> Vec<(Stri
         }
     }
     checks
-}
-
-/// Formats an adversary-search [`SweepReport`] in the repo's table
-/// style: one row per cell plus the cross-cell invariant block.
-#[must_use]
-pub fn adversary_table(spec: &AdversarySpec, report: &SweepReport) -> String {
-    let mut out = section(&format!(
-        "Adversary search `{}` — {} cells, beam seed {}",
-        report.name,
-        report.outcomes.len(),
-        report.base_seed
-    ));
-    out.push_str(
-        "rate = mean per-round contraction (valency δ̂ for theorem rows, value\ndiameter for adaptive rows); probes run strict where labelled\n\n",
-    );
-    let mut t = Table::new(&["cell", "rate", "rounds", "probes ok", "fingerprint"]);
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let o = &report.outcomes[i];
-        t.row(&[
-            cell.label(),
-            rate(o.rate),
-            o.rounds.to_string(),
-            check(o.converged),
-            format!("{:016x}", o.fingerprint),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    for (desc, ok) in adversary_checks(spec, report) {
-        out.push_str(&format!("{} {}\n", check(ok), desc));
-    }
-    out
 }

@@ -76,23 +76,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use consensus_bench::advsearch::{
-    adversary_table, run_adversary, run_adversary_cell, run_adversary_traced, try_adversary_spec,
-};
-use consensus_bench::experiments::{
-    dynamic_table, ensemble_table, multidim_table, run_dynamic, run_dynamic_cell,
-    run_dynamic_traced, run_ensemble_cell, run_ensemble_traced, run_multidim, run_multidim_traced,
-    try_dynamic_spec, try_ensemble_spec, try_multidim_spec, GRID_REGISTRY,
-};
 use consensus_bench::obswire::{self, TraceLevel};
-use consensus_bench::orchestrate::AnySpec;
+use consensus_bench::orchestrate::{AnySpec, GRID_REGISTRY};
 use consensus_bench::wallclock::WallClock;
 use tight_bounds_consensus::controlplane::{
     self, serve_plaintext, Metrics, ProcessPool, RunConfig, WorkerSpawn,
 };
 use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDER_CAP};
 use tight_bounds_consensus::pool::CancelToken;
-use tight_bounds_consensus::prelude::*;
 
 /// Unwraps a preset/spec lookup, turning an unknown name into the
 /// CLI's clean usage error (stderr + exit code 2, no backtrace).
@@ -101,13 +92,6 @@ fn spec_or_exit<T>(r: Result<T, consensus_bench::experiments::SpecError>) -> T {
         eprintln!("{e}");
         std::process::exit(2);
     })
-}
-
-fn print_outcome(index: usize, label: &str, seed: u64, o: &CellOutcome) {
-    println!(
-        "cell {index} [{label}] seed {seed}: rate {:.6}, decision {:?}, rounds {}, converged {}, fingerprint {:016x}",
-        o.rate, o.decision_round, o.rounds, o.converged, o.fingerprint,
-    );
 }
 
 /// The control-plane side of the CLI; any set field routes the run
@@ -268,8 +252,7 @@ fn run_coordinated(
         );
         controlplane::run(&plan, &cfg, &pool, &metrics)
     } else {
-        let exec = spec.executor(delay);
-        controlplane::run(&plan, &cfg, &exec, &metrics)
+        controlplane::run(&plan, &cfg, &*spec.executor(delay), &metrics)
     };
     let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
 
@@ -313,8 +296,7 @@ fn run_coordinated(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut grid = "ensemble";
-    let mut grid_arg: Option<String> = None;
+    let mut grid: String = "ensemble".into();
     let mut preset: String = "full".into();
     let mut threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
@@ -328,7 +310,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--grid" => {
-                grid_arg = Some(it.next().expect("--grid needs a name").clone());
+                grid = it.next().expect("--grid needs a name").clone();
             }
             "--list" => {
                 println!("registered grids (select with --grid NAME):");
@@ -345,7 +327,7 @@ fn main() {
             }
             // Pre-registry spelling, kept so existing scripts and docs
             // don't break.
-            "--multidim" => grid_arg = Some("multidim".into()),
+            "--multidim" => grid = "multidim".into(),
             "--json" => json_only = true,
             "--threads" => {
                 threads = Some(
@@ -427,15 +409,9 @@ fn main() {
             }
         }
     }
-    if let Some(name) = &grid_arg {
-        grid = GRID_REGISTRY
-            .iter()
-            .map(|(n, _)| *n)
-            .find(|n| n == name)
-            .unwrap_or_else(|| {
-                eprintln!("unknown grid `{name}` — run with --list to see the registry");
-                std::process::exit(2);
-            });
+    let mut spec = spec_or_exit(AnySpec::resolve(&grid, &preset));
+    if let Some(s) = seed {
+        spec.set_base_seed(s);
     }
     if tf.out.is_none() && (tf.level != TraceLevel::Span || tf.timing) {
         eprintln!("--trace-level/--trace-timing need --trace-out PATH");
@@ -446,9 +422,8 @@ fn main() {
     // path or asked for stdout-only JSON (the golden-diff mode, which
     // must not touch the working directory).
     if out_path.is_none() && !json_only && replay.is_none() {
-        out_path = Some(format!("BENCH_{grid}.json"));
+        out_path = Some(format!("BENCH_{}.json", spec.grid_name()));
     }
-    let trace = tf.handle();
 
     let emit = |json: &str, table: String| {
         if let Some(path) = &out_path {
@@ -469,140 +444,56 @@ fn main() {
             eprintln!("--replay is a solo debugging path; drop the control-plane flags");
             std::process::exit(2);
         }
-        let mut spec = spec_or_exit(AnySpec::resolve(grid, &preset));
-        if let Some(s) = seed {
-            spec.set_base_seed(s);
-        }
         std::process::exit(run_coordinated(
             &spec, &preset, &cf, &tf, threads, seed, emit,
         ));
     }
 
-    match grid {
-        "multidim" => {
-            let mut mspec = spec_or_exit(try_multidim_spec(&preset));
-            if let Some(s) = seed {
-                mspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                // Replay one multidim cell solo: same configuration, same
-                // seed as the full sweep — both rules, like the full run.
-                let sweep = Sweep::new(mspec.grid.cells()).seed(mspec.base_seed);
-                let (tol, max_rounds) = (mspec.tol, mspec.max_rounds);
-                let (label, pair) = sweep.run_cell(index, |cell, ctx| {
-                    (
-                        cell.label(),
-                        consensus_bench::experiments::run_multidim_cell(cell, ctx, tol, max_rounds),
-                    )
-                });
-                for (alg, o) in [("coordinatewise", pair.0), ("simplex", pair.1)] {
-                    print_outcome(
-                        index,
-                        &format!("{label} alg={alg}"),
-                        sweep.seed_of(index),
-                        &o,
-                    );
-                }
-                return;
-            }
-            let report = run_multidim_traced(&mspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), multidim_table(&mspec, &report));
+    if let Some(index) = replay {
+        // Replay one cell solo: same configuration, same seed as the
+        // full sweep — the debugging path for a surprising aggregate.
+        for (label, seed, o) in spec.replay(index).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }) {
+            println!(
+                "cell {index} [{label}] seed {seed}: rate {:.6}, decision {:?}, rounds {}, converged {}, fingerprint {:016x}",
+                o.rate, o.decision_round, o.rounds, o.converged, o.fingerprint,
+            );
         }
-        "adversary_search" => {
-            let mut aspec = spec_or_exit(try_adversary_spec(&preset));
-            if let Some(s) = seed {
-                aspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                let sweep = Sweep::new(aspec.cells.clone()).seed(aspec.base_seed);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_adversary_cell(cell, ctx))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_adversary_traced(&aspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), adversary_table(&aspec, &report));
+        return;
+    }
+
+    let trace = tf.handle();
+    let report = spec.run(threads, &trace);
+    obswire::enrich_report(&trace, &report);
+    let mut table = spec.table(&report);
+    if let AnySpec::Ensemble(ensemble) = &spec {
+        if tf.level == TraceLevel::Round {
+            obswire::trace_rounds_ensemble(ensemble, &report, &trace);
         }
-        "dynamic_rates" => {
-            let mut dspec = spec_or_exit(try_dynamic_spec(&preset));
-            if let Some(s) = seed {
-                dspec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                let sweep = Sweep::new(dspec.grid.cells()).seed(dspec.base_seed);
-                let (tol, max_rounds) = (dspec.tol, dspec.max_rounds);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_dynamic_cell(cell, ctx, tol, max_rounds))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_dynamic_traced(&dspec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            tf.write(&trace);
-            emit(&report.to_json(), dynamic_table(&dspec, &report));
-        }
-        _ => {
-            let mut spec = spec_or_exit(try_ensemble_spec(&preset));
-            if let Some(s) = seed {
-                spec.base_seed = s;
-            }
-            if let Some(index) = replay {
-                // Replay one cell solo: same configuration, same seed as
-                // the full sweep — the debugging path for a surprising
-                // aggregate.
-                let sweep = Sweep::new(spec.grid.cells()).seed(spec.base_seed);
-                let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-                let (label, o) = sweep.run_cell(index, |cell, ctx| {
-                    (cell.label(), run_ensemble_cell(cell, ctx, tol, max_rounds))
-                });
-                print_outcome(index, &label, sweep.seed_of(index), &o);
-                return;
-            }
-            let report = run_ensemble_traced(&spec, threads, trace.clone());
-            obswire::enrich_report(&trace, &report);
-            if tf.level == TraceLevel::Round {
-                obswire::trace_rounds_ensemble(&spec, &report, &trace);
-            }
-            tf.write(&trace);
-            let mut table = ensemble_table(&report);
-            if preset == "quick" && !json_only {
-                // The quick smoke run also exercises the multidimensional,
-                // dynamic-network, and adversary-search grids — the R^d
-                // separation, the averaging-rate table, and the adaptive
-                // adversary invariants at a glance. The --seed override
-                // applies to all of them, keeping the tables on the same
-                // base seed.
-                let mut mspec = spec_or_exit(try_multidim_spec("quick"));
-                let mut dspec = spec_or_exit(try_dynamic_spec("quick"));
-                let mut aspec = spec_or_exit(try_adversary_spec("quick"));
+        if preset == "quick" && !json_only {
+            // The quick smoke run also exercises every other grid — the
+            // R^d separation, the averaging-rate table, and the adaptive
+            // adversary invariants at a glance. The --seed override
+            // applies to all of them, keeping the tables on the same
+            // base seed.
+            for (name, _) in GRID_REGISTRY.iter().filter(|(n, _)| *n != spec.grid_name()) {
+                let mut other = spec_or_exit(AnySpec::resolve(name, "quick"));
                 if let Some(s) = seed {
-                    mspec.base_seed = s;
-                    dspec.base_seed = s;
-                    aspec.base_seed = s;
+                    other.set_base_seed(s);
                 }
-                let mreport = run_multidim(&mspec, threads);
                 table.push('\n');
-                table.push_str(&multidim_table(&mspec, &mreport));
-                let dreport = run_dynamic(&dspec, threads);
-                table.push('\n');
-                table.push_str(&dynamic_table(&dspec, &dreport));
-                let areport = run_adversary(&aspec, threads);
-                table.push('\n');
-                table.push_str(&adversary_table(&aspec, &areport));
+                table.push_str(&other.table(&other.run_in_process(threads)));
             }
-            if out_path.is_some() {
-                table.push_str(
-                    "\n(the written JSON covers the scalar ensemble only; for the multidim or \
-                     dynamic grids' JSON run with --grid multidim / --grid dynamic_rates --out)",
-                );
-            }
-            emit(&report.to_json(), table);
+        }
+        if out_path.is_some() {
+            table.push_str(
+                "\n(the written JSON covers the scalar ensemble only; for the multidim or \
+                 dynamic grids' JSON run with --grid multidim / --grid dynamic_rates --out)",
+            );
         }
     }
+    tf.write(&trace);
+    emit(&report.to_json(), table);
 }

@@ -11,9 +11,10 @@ use tight_bounds_consensus::asyncsim::min_relay::{cascade_crashes, MinRelay};
 use tight_bounds_consensus::asyncsim::na_adversary;
 use tight_bounds_consensus::digraph::render::{to_ascii, to_dot, RenderOptions};
 use tight_bounds_consensus::prelude::*;
-use tight_bounds_consensus::sweep::fingerprint;
+use tight_bounds_consensus::sweep::{fingerprint, EnsembleCell};
 use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAdversary};
 
+use crate::orchestrate::{run_grid, Grid};
 use crate::tablefmt::{check, interval, rate, section, Table};
 
 /// Evenly spread initial values on `\[0, 1\]` for `n` agents.
@@ -832,7 +833,7 @@ pub enum SpecError {
         /// The rejected dimension.
         got: usize,
     },
-    /// The grid name is not in [`GRID_REGISTRY`].
+    /// The grid name is not in [`crate::orchestrate::GRID_REGISTRY`].
     UnknownGrid {
         /// The rejected grid name.
         got: String,
@@ -962,22 +963,39 @@ pub fn measured_rate(d0: f64, d: f64, rounds: u64) -> f64 {
     }
 }
 
-/// One ensemble cell: self-weighted averaging (`param` = self-weight)
-/// from the cell's initial distribution under its random dynamic-graph
-/// class, measured to the decision round (Theorems 8–11 semantics) with
-/// the per-round contraction rate as the ensemble statistic.
+/// The scenario one ensemble cell runs — self-weighted averaging
+/// (`param` = self-weight) from the cell's initial distribution under
+/// its random dynamic-graph class — and its initial diameter. The one
+/// setup [`run_ensemble_cell`] measures and
+/// [`crate::obswire::trace_rounds_ensemble`] replays, so the replay
+/// cannot drift from the cell it traces.
+#[must_use]
+pub fn ensemble_scenario(
+    cell: &EnsembleCell,
+    ctx: CellCtx,
+    tol: f64,
+) -> (
+    Scenario<SelfWeightedAverage, impl scenario::Driver<SelfWeightedAverage, 1>, 1>,
+    f64,
+) {
+    let inits = cell.inits(&mut ctx.rng());
+    let sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
+        .pattern(cell.pattern(ctx.subseed(1)))
+        .decide(tol);
+    (sc, diameter(&inits))
+}
+
+/// One ensemble cell: the [`ensemble_scenario`] measured to the
+/// decision round (Theorems 8–11 semantics) with the per-round
+/// contraction rate as the ensemble statistic.
 #[must_use]
 pub fn run_ensemble_cell(
-    cell: &tight_bounds_consensus::sweep::EnsembleCell,
+    cell: &EnsembleCell,
     ctx: CellCtx,
     tol: f64,
     max_rounds: usize,
 ) -> CellOutcome {
-    let inits = cell.inits(&mut ctx.rng());
-    let d0 = diameter(&inits);
-    let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
-        .pattern(cell.pattern(ctx.subseed(1)))
-        .decide(tol);
+    let (mut sc, d0) = ensemble_scenario(cell, ctx, tol);
     let decision = sc.decision_round(max_rounds);
     let exec = sc.execution();
     let rounds = exec.round();
@@ -991,85 +1009,88 @@ pub fn run_ensemble_cell(
     }
 }
 
-/// Runs an ensemble spec on the sweep pool (`threads = None` ⇒ all
-/// cores; thread count never changes the report).
+/// Runs an ensemble spec on the sweep pool, untraced ([`run_grid`]).
 #[must_use]
 pub fn run_ensemble(spec: &EnsembleSpec, threads: Option<usize>) -> SweepReport {
-    run_ensemble_traced(spec, threads, consensus_obs::TraceHandle::disabled())
+    run_grid(spec, threads, &TraceHandle::disabled())
 }
 
-/// [`run_ensemble`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
-#[must_use]
-pub fn run_ensemble_traced(
-    spec: &EnsembleSpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let labels: Vec<String> = sweep
-        .cells()
-        .iter()
-        .map(tight_bounds_consensus::sweep::EnsembleCell::label)
-        .collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let outcomes = sweep.run(|cell, ctx| run_ensemble_cell(cell, ctx, tol, max_rounds));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
-}
+impl Grid<1> for EnsembleSpec {
+    const NAME: &'static str = "ensemble";
+    const DESCRIPTION: &'static str =
+        "scalar averaging ensemble over random graph classes (presets: golden | quick | full)";
+    type Cell = EnsembleCell;
 
-/// Formats a [`SweepReport`] in the repo's table style (the human side
-/// of the `sweep` bin; the JSON side is [`SweepReport::to_json`]).
-#[must_use]
-pub fn ensemble_table(report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Ensemble sweep `{}` — {} cells, base seed {}",
-        report.name, s.cells, report.base_seed
-    ));
-    out.push_str(&format!(
-        "converged {}/{} (failures: {}), decided: {}\n\n",
-        s.converged, s.cells, s.failures, s.decided
-    ));
-    let mut t = Table::new(&[
-        "metric", "count", "min", "max", "mean", "std", "median", "p90",
-    ]);
-    for (name, stats) in [
-        ("contraction rate", s.rate.as_ref()),
-        ("decision round", s.decision_round.as_ref()),
-        ("rounds executed", s.rounds.as_ref()),
-    ] {
-        match stats {
-            Some(v) => t.row(&[
-                name.into(),
-                v.count.to_string(),
-                rate(v.min),
-                rate(v.max),
-                rate(v.mean),
-                rate(v.std_dev),
-                rate(v.median),
-                rate(v.p90),
-            ]),
-            None => t.row(&[
-                name.into(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]),
-        };
+    fn report_name(&self) -> &str {
+        &self.name
     }
-    out.push_str(&t.render());
-    out
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<EnsembleCell> {
+        self.grid.cells()
+    }
+
+    fn row_labels(&self, cell: &EnsembleCell) -> [String; 1] {
+        [cell.label()]
+    }
+
+    fn run_cell(&self, cell: &EnsembleCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+        [run_ensemble_cell(cell, ctx, self.tol, self.max_rounds)]
+    }
+
+    /// The repo's table style: the aggregate block (the human side of
+    /// the `sweep` bin; the JSON side is [`SweepReport::to_json`]).
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Ensemble sweep `{}` — {} cells, base seed {}",
+            report.name, s.cells, report.base_seed
+        ));
+        out.push_str(&format!(
+            "converged {}/{} (failures: {}), decided: {}\n\n",
+            s.converged, s.cells, s.failures, s.decided
+        ));
+        let mut t = Table::new(&[
+            "metric", "count", "min", "max", "mean", "std", "median", "p90",
+        ]);
+        for (name, stats) in [
+            ("contraction rate", s.rate.as_ref()),
+            ("decision round", s.decision_round.as_ref()),
+            ("rounds executed", s.rounds.as_ref()),
+        ] {
+            match stats {
+                Some(v) => t.row(&[
+                    name.into(),
+                    v.count.to_string(),
+                    rate(v.min),
+                    rate(v.max),
+                    rate(v.mean),
+                    rate(v.std_dev),
+                    rate(v.median),
+                    rate(v.p90),
+                ]),
+                None => t.row(&[
+                    name.into(),
+                    "0".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                ]),
+            };
+        }
+        out.push_str(&t.render());
+        out
+    }
 }
 
 /// Configuration of the **E-MULTIDIM `multidim_decision_times`**
@@ -1254,44 +1275,13 @@ pub fn try_run_multidim_cell(
     })
 }
 
-/// Runs a multidimensional spec on the sweep pool and flattens the
-/// matched pairs into a [`SweepReport`]: each grid cell contributes two
-/// adjacent rows (`… alg=coordinatewise`, `… alg=simplex`) sharing one
-/// cell seed, so the report stays byte-stable and pairwise comparable.
+/// Runs a multidimensional spec on the sweep pool, untraced
+/// ([`run_grid`]): each grid cell contributes two adjacent rows
+/// (`… alg=coordinatewise`, `… alg=simplex`) sharing one cell seed, so
+/// the report stays byte-stable and pairwise comparable.
 #[must_use]
 pub fn run_multidim(spec: &MultidimSpec, threads: Option<usize>) -> SweepReport {
-    run_multidim_traced(spec, threads, consensus_obs::TraceHandle::disabled())
-}
-
-/// [`run_multidim`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
-#[must_use]
-pub fn run_multidim_traced(
-    spec: &MultidimSpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let pairs = sweep.run(|cell, ctx| run_multidim_cell(cell, ctx, tol, max_rounds));
-    let mut labels = Vec::with_capacity(2 * pairs.len());
-    let mut seeds = Vec::with_capacity(2 * pairs.len());
-    let mut outcomes = Vec::with_capacity(2 * pairs.len());
-    for (i, (cell, (cw, sx))) in sweep.cells().iter().zip(&pairs).enumerate() {
-        let seed = sweep.seed_of(i);
-        for (alg, outcome) in [("coordinatewise", cw), ("simplex", sx)] {
-            labels.push(format!("{} alg={alg}", cell.label()));
-            seeds.push(seed);
-            outcomes.push(*outcome);
-        }
-    }
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+    run_grid(spec, threads, &TraceHandle::disabled())
 }
 
 /// Per-dimension decision-round statistics of a multidimensional
@@ -1332,72 +1322,102 @@ pub fn multidim_separation(
         .collect()
 }
 
-/// Formats a multidimensional [`SweepReport`] in the repo's table style:
-/// the aggregate block plus the per-dimension coordinate-wise vs.
-/// simplex separation table (the headline claim — simplex decides in
-/// strictly fewer rounds for `d ≥ 2`, and the two rules coincide at
-/// `d = 1`).
-#[must_use]
-pub fn multidim_table(spec: &MultidimSpec, report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Multidimensional decision times `{}` — {} paired cells, base seed {}, ε = {:e}",
-        report.name,
-        report.outcomes.len() / 2,
-        report.base_seed,
-        spec.tol
-    ));
-    out.push_str(&format!(
-        "rows converged {}/{} (failures: {}); decision rounds are hull-diameter\n(Euclidean) ε-agreement per arXiv:1805.04923\n\n",
-        s.converged, s.cells, s.failures
-    ));
-    let mut t = Table::new(&[
-        "d",
-        "pairs",
-        "coordinatewise mean T",
-        "simplex mean T",
-        "gap",
-        "separation",
-    ]);
-    for (d, cw, sx) in multidim_separation(spec, report) {
-        let (cw, sx) = match (&cw, &sx) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                t.row(&[
-                    d.to_string(),
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    check(false),
-                ]);
-                continue;
-            }
-        };
-        let ok = if d == 1 {
-            cw.mean == sx.mean
-        } else {
-            sx.mean < cw.mean
-        };
-        t.row(&[
-            d.to_string(),
-            cw.count.to_string(),
-            format!("{:.3}", cw.mean),
-            format!("{:.3}", sx.mean),
-            format!("{:+.3}", sx.mean - cw.mean),
-            check(ok),
-        ]);
+impl Grid<2> for MultidimSpec {
+    const NAME: &'static str = "multidim";
+    const DESCRIPTION: &'static str =
+        "R^d decision times, coordinate-wise vs simplex midpoint (presets: quick/golden | full)";
+    type Cell = MultidimCell;
+
+    fn report_name(&self) -> &str {
+        &self.name
     }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nmeans are over matched pairs only (cells where BOTH rules decided), so the\n\
-         two columns always cover the same executions. d = 1: both rules degenerate\n\
-         to the scalar midpoint and the paired runs are bit-identical. d ≥ 2: the\n\
-         coordinate-wise box centre pays the √d detour (and leaves the hull for\n\
-         d ≥ 3 — validity!), so the simplex/MidExtremes rule decides strictly\n\
-         earlier on the same executions.\n",
-    );
-    out
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<MultidimCell> {
+        self.grid.cells()
+    }
+
+    fn row_labels(&self, cell: &MultidimCell) -> [String; 2] {
+        let label = cell.label();
+        ["coordinatewise", "simplex"].map(|alg| format!("{label} alg={alg}"))
+    }
+
+    fn run_cell(&self, cell: &MultidimCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 2] {
+        run_multidim_cell(cell, ctx, self.tol, self.max_rounds).into()
+    }
+
+    /// The repo's table style: the aggregate block plus the
+    /// per-dimension coordinate-wise vs. simplex separation table (the
+    /// headline claim — simplex decides in strictly fewer rounds for
+    /// `d ≥ 2`, and the two rules coincide at `d = 1`).
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Multidimensional decision times `{}` — {} paired cells, base seed {}, ε = {:e}",
+            report.name,
+            report.outcomes.len() / 2,
+            report.base_seed,
+            self.tol
+        ));
+        out.push_str(&format!(
+            "rows converged {}/{} (failures: {}); decision rounds are hull-diameter\n(Euclidean) ε-agreement per arXiv:1805.04923\n\n",
+            s.converged, s.cells, s.failures
+        ));
+        let mut t = Table::new(&[
+            "d",
+            "pairs",
+            "coordinatewise mean T",
+            "simplex mean T",
+            "gap",
+            "separation",
+        ]);
+        for (d, cw, sx) in multidim_separation(self, report) {
+            let (cw, sx) = match (&cw, &sx) {
+                (Some(a), Some(b)) => (a, b),
+                _ => {
+                    t.row(&[
+                        d.to_string(),
+                        "0".into(),
+                        "-".into(),
+                        "-".into(),
+                        "-".into(),
+                        check(false),
+                    ]);
+                    continue;
+                }
+            };
+            let ok = if d == 1 {
+                cw.mean == sx.mean
+            } else {
+                sx.mean < cw.mean
+            };
+            t.row(&[
+                d.to_string(),
+                cw.count.to_string(),
+                format!("{:.3}", cw.mean),
+                format!("{:.3}", sx.mean),
+                format!("{:+.3}", sx.mean - cw.mean),
+                check(ok),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(
+            "\nmeans are over matched pairs only (cells where BOTH rules decided), so the\n\
+             two columns always cover the same executions. d = 1: both rules degenerate\n\
+             to the scalar midpoint and the paired runs are bit-identical. d ≥ 2: the\n\
+             coordinate-wise box centre pays the √d detour (and leaves the hull for\n\
+             d ≥ 3 — validity!), so the simplex/MidExtremes rule decides strictly\n\
+             earlier on the same executions.\n",
+        );
+        out
+    }
 }
 
 /// **E-MULTIDIM — multidimensional decision times**: runs the named
@@ -1405,8 +1425,7 @@ pub fn multidim_table(spec: &MultidimSpec, report: &SweepReport) -> String {
 #[must_use]
 pub fn multidim_decision_times(quick: bool) -> String {
     let spec = multidim_spec(if quick { "quick" } else { "full" });
-    let report = run_multidim(&spec, None);
-    multidim_table(&spec, &report)
+    spec.table(&run_multidim(&spec, None))
 }
 
 /// Configuration of the **E-DYNET `dynamic_rates`** experiment grid
@@ -1554,34 +1573,12 @@ pub fn run_dynamic_cell(
     }
 }
 
-/// Runs a dynamic-network spec on the sweep pool (`threads = None` ⇒ all
-/// cores; thread count never changes the report — the adversaries are
-/// pure functions of their cell seeds).
+/// Runs a dynamic-network spec on the sweep pool, untraced
+/// ([`run_grid`]; the adversaries are pure functions of their cell
+/// seeds, so thread count never changes the report).
 #[must_use]
 pub fn run_dynamic(spec: &DynamicSpec, threads: Option<usize>) -> SweepReport {
-    run_dynamic_traced(spec, threads, consensus_obs::TraceHandle::disabled())
-}
-
-/// [`run_dynamic`] with a live trace: per-cell spans and the pool
-/// profile land in `trace`, the report is byte-identical to the
-/// untraced run.
-#[must_use]
-pub fn run_dynamic_traced(
-    spec: &DynamicSpec,
-    threads: Option<usize>,
-    trace: consensus_obs::TraceHandle,
-) -> SweepReport {
-    let mut sweep = Sweep::new(spec.grid.cells())
-        .seed(spec.base_seed)
-        .trace(trace);
-    if let Some(t) = threads {
-        sweep = sweep.threads(t);
-    }
-    let labels: Vec<String> = sweep.cells().iter().map(DynamicCell::label).collect();
-    let seeds: Vec<u64> = (0..sweep.len()).map(|i| sweep.seed_of(i)).collect();
-    let (tol, max_rounds) = (spec.tol, spec.max_rounds);
-    let outcomes = sweep.run(|cell, ctx| run_dynamic_cell(cell, ctx, tol, max_rounds));
-    SweepReport::new(spec.name.clone(), spec.base_seed, labels, seeds, outcomes)
+    run_grid(spec, threads, &TraceHandle::disabled())
 }
 
 /// Per-kind statistics of a dynamic-network report: for every adversary
@@ -1637,55 +1634,83 @@ pub fn dynamic_separation(spec: &DynamicSpec, report: &SweepReport) -> Vec<(usiz
     rows
 }
 
-/// Formats a dynamic-network [`SweepReport`] in the repo's table style:
-/// the per-kind aggregate block plus the T-interval decision-time
-/// separation line.
-#[must_use]
-pub fn dynamic_table(spec: &DynamicSpec, report: &SweepReport) -> String {
-    let s = &report.summary;
-    let mut out = section(&format!(
-        "Dynamic-network averaging rates `{}` — {} cells, base seed {}, ε = {:e}",
-        report.name,
-        report.outcomes.len(),
-        report.base_seed,
-        spec.tol
-    ));
-    out.push_str(&format!(
-        "converged {}/{} (failures: {}); rate = mean per-round contraction ratio\nΔ(y(t+1))/Δ(y(t)), decision T = first round with spread ≤ ε\n\n",
-        s.converged, s.cells, s.failures
-    ));
-    let mut t = Table::new(&["adversary", "cells", "mean rate", "mean T", "max T"]);
-    for (kind, decisions, rates) in dynamic_by_kind(spec, report) {
-        match (decisions, rates) {
-            (Some(d), Some(r)) => t.row(&[
-                kind.label(),
-                d.count.to_string(),
-                rate(r.mean),
-                format!("{:.2}", d.mean),
-                format!("{:.0}", d.max),
-            ]),
-            _ => t.row(&[kind.label(), "0".into(), "-".into(), "-".into(), "-".into()]),
-        };
-    }
-    out.push_str(&t.render());
+impl Grid<1> for DynamicSpec {
+    const NAME: &'static str = "dynamic_rates";
+    const DESCRIPTION: &'static str = "averaging rates under dynamic-network adversaries: T-interval, eventually-rooted, bounded churn, diameter-max (presets: quick/golden | full)";
+    type Cell = DynamicCell;
 
-    let sep = dynamic_separation(spec, report);
-    let monotone = sep.windows(2).all(|w| match (&w[0].1, &w[1].1) {
-        (Some(a), Some(b)) => a.mean < b.mean,
-        _ => false,
-    });
-    out.push_str(&format!(
-        "\nT-interval separation: mean decision times {} — spreading the rooted\nunion over T rounds must slow the decision down strictly {}\n",
-        sep.iter()
-            .map(|(t, d)| format!(
-                "T={t}: {}",
-                d.as_ref().map_or("-".into(), |s| format!("{:.2}", s.mean))
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-        check(monotone)
-    ));
-    out
+    fn report_name(&self) -> &str {
+        &self.name
+    }
+
+    fn base_seed(&self) -> u64 {
+        self.base_seed
+    }
+
+    fn set_base_seed(&mut self, seed: u64) {
+        self.base_seed = seed;
+    }
+
+    fn cells(&self) -> Vec<DynamicCell> {
+        self.grid.cells()
+    }
+
+    fn row_labels(&self, cell: &DynamicCell) -> [String; 1] {
+        [cell.label()]
+    }
+
+    fn run_cell(&self, cell: &DynamicCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+        [run_dynamic_cell(cell, ctx, self.tol, self.max_rounds)]
+    }
+
+    /// The repo's table style: the per-kind aggregate block plus the
+    /// T-interval decision-time separation line.
+    fn table(&self, report: &SweepReport) -> String {
+        let s = &report.summary;
+        let mut out = section(&format!(
+            "Dynamic-network averaging rates `{}` — {} cells, base seed {}, ε = {:e}",
+            report.name,
+            report.outcomes.len(),
+            report.base_seed,
+            self.tol
+        ));
+        out.push_str(&format!(
+            "converged {}/{} (failures: {}); rate = mean per-round contraction ratio\nΔ(y(t+1))/Δ(y(t)), decision T = first round with spread ≤ ε\n\n",
+            s.converged, s.cells, s.failures
+        ));
+        let mut t = Table::new(&["adversary", "cells", "mean rate", "mean T", "max T"]);
+        for (kind, decisions, rates) in dynamic_by_kind(self, report) {
+            match (decisions, rates) {
+                (Some(d), Some(r)) => t.row(&[
+                    kind.label(),
+                    d.count.to_string(),
+                    rate(r.mean),
+                    format!("{:.2}", d.mean),
+                    format!("{:.0}", d.max),
+                ]),
+                _ => t.row(&[kind.label(), "0".into(), "-".into(), "-".into(), "-".into()]),
+            };
+        }
+        out.push_str(&t.render());
+
+        let sep = dynamic_separation(self, report);
+        let monotone = sep.windows(2).all(|w| match (&w[0].1, &w[1].1) {
+            (Some(a), Some(b)) => a.mean < b.mean,
+            _ => false,
+        });
+        out.push_str(&format!(
+            "\nT-interval separation: mean decision times {} — spreading the rooted\nunion over T rounds must slow the decision down strictly {}\n",
+            sep.iter()
+                .map(|(t, d)| format!(
+                    "T={t}: {}",
+                    d.as_ref().map_or("-".into(), |s| format!("{:.2}", s.mean))
+                ))
+                .collect::<Vec<_>>()
+                .join(", "),
+            check(monotone)
+        ));
+        out
+    }
 }
 
 /// **E-DYNET — dynamic-network averaging rates**: runs the named preset
@@ -1693,32 +1718,8 @@ pub fn dynamic_table(spec: &DynamicSpec, report: &SweepReport) -> String {
 #[must_use]
 pub fn dynamic_rates_report(quick: bool) -> String {
     let spec = dynamic_spec(if quick { "quick" } else { "full" });
-    let report = run_dynamic(&spec, None);
-    dynamic_table(&spec, &report)
+    spec.table(&run_dynamic(&spec, None))
 }
-
-/// The named experiment grids the `sweep` bin can select with
-/// `--grid <name>` (and enumerate with `--list`): `(name, description)`
-/// pairs, in display order. New grids register here instead of growing
-/// new flags.
-pub const GRID_REGISTRY: &[(&str, &str)] = &[
-    (
-        "ensemble",
-        "scalar averaging ensemble over random graph classes (presets: golden | quick | full)",
-    ),
-    (
-        "multidim",
-        "R^d decision times, coordinate-wise vs simplex midpoint (presets: quick/golden | full)",
-    ),
-    (
-        "dynamic_rates",
-        "averaging rates under dynamic-network adversaries: T-interval, eventually-rooted, bounded churn, diameter-max (presets: quick/golden | full)",
-    ),
-    (
-        "adversary_search",
-        "adaptive adversary search: strict-probe theorem adversaries, pooled vs serial candidate forks, beam vs exhaustive rooted argmax (presets: quick/golden | full)",
-    ),
-];
 
 /// Everything, in paper order (what `cargo bench` prints).
 #[must_use]
@@ -1850,7 +1851,7 @@ mod tests {
                 b_stats.mean
             );
         }
-        assert!(!dynamic_table(&spec, &a).contains("MISMATCH"));
+        assert!(!spec.table(&a).contains("MISMATCH"));
     }
 
     #[test]
@@ -1903,6 +1904,7 @@ mod tests {
 
     #[test]
     fn grid_registry_names_are_unique_and_documented() {
+        use crate::orchestrate::GRID_REGISTRY;
         let names: Vec<&str> = GRID_REGISTRY.iter().map(|(n, _)| *n).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -1927,6 +1929,6 @@ mod tests {
         );
         assert_eq!(a.summary.cells, 16);
         assert_eq!(a.summary.failures, 0, "golden grid must fully converge");
-        assert!(!ensemble_table(&a).contains("MISMATCH"));
+        assert!(!spec.table(&a).contains("MISMATCH"));
     }
 }

@@ -10,10 +10,9 @@
 use std::io::Write as _;
 
 use consensus_obs::{lane, to_jsonl_content, to_jsonl_full, TraceHandle};
-use tight_bounds_consensus::algorithms::diameter;
 use tight_bounds_consensus::prelude::*;
 
-use crate::experiments::EnsembleSpec;
+use crate::experiments::{ensemble_scenario, EnsembleSpec};
 
 /// Granularity of a `sweep --trace-out` capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +72,11 @@ pub fn enrich_report(trace: &TraceHandle, report: &SweepReport) {
 /// report row executed, emitting a `round` span with `diameter` and
 /// `contraction` gauges per round on `(cell, lane::EXECUTOR)`.
 ///
-/// The replay reconstructs each cell from its seed (the same
-/// derivation [`crate::experiments::run_ensemble`] uses), so it never
-/// touches the reported outcomes — it is a read-only magnification of
-/// a run that already happened. Sequential by construction, hence
-/// thread-count invariant.
+/// The replay rebuilds each cell with [`ensemble_scenario`] from its
+/// seed — the setup the measured cell ran — so it never touches the
+/// reported outcomes: it is a read-only magnification of a run that
+/// already happened. Sequential by construction, hence thread-count
+/// invariant.
 pub fn trace_rounds_ensemble(spec: &EnsembleSpec, report: &SweepReport, trace: &TraceHandle) {
     if !trace.is_enabled() {
         return;
@@ -88,20 +87,13 @@ pub fn trace_rounds_ensemble(spec: &EnsembleSpec, report: &SweepReport, trace: &
         report.outcomes.len(),
         "report rows must match the spec grid"
     );
-    for (i, cell) in sweep.cells().iter().enumerate() {
-        let ctx = CellCtx {
-            index: i,
-            seed: sweep.seed_of(i),
-        };
+    for (i, outcome) in report.outcomes.iter().enumerate() {
         let Some(mut rec) = trace.recorder(i as u64, lane::EXECUTOR) else {
             return;
         };
-        let inits = cell.inits(&mut ctx.rng());
-        let mut sc = Scenario::new(SelfWeightedAverage::new(cell.param), &inits)
-            .pattern(cell.pattern(ctx.subseed(1)))
-            .decide(spec.tol);
-        let mut prev = diameter(&inits);
-        for r in 1..=report.outcomes[i].rounds {
+        let (mut sc, mut prev) =
+            sweep.run_cell(i, |cell, ctx| ensemble_scenario(cell, ctx, spec.tol));
+        for r in 1..=outcome.rounds {
             if sc.advance(1) == 0 {
                 break;
             }
@@ -138,7 +130,8 @@ pub fn write_trace(path: &str, trace: &TraceHandle, timing: bool) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{ensemble_spec, run_ensemble_traced};
+    use crate::experiments::ensemble_spec;
+    use crate::orchestrate::run_grid;
 
     #[test]
     fn trace_level_parses_cli_values() {
@@ -152,8 +145,8 @@ mod tests {
         let spec = ensemble_spec("golden");
         let t1 = TraceHandle::enabled();
         let t2 = TraceHandle::enabled();
-        let r1 = run_ensemble_traced(&spec, Some(1), t1.clone());
-        let r2 = run_ensemble_traced(&spec, Some(4), t2.clone());
+        let r1 = run_grid(&spec, Some(1), &t1);
+        let r2 = run_grid(&spec, Some(4), &t2);
         enrich_report(&t1, &r1);
         enrich_report(&t2, &r2);
         assert_eq!(
@@ -168,7 +161,7 @@ mod tests {
         let spec = ensemble_spec("golden");
         let plain = crate::experiments::run_ensemble(&spec, Some(2));
         let trace = TraceHandle::enabled();
-        let traced = run_ensemble_traced(&spec, Some(2), trace.clone());
+        let traced = run_grid(&spec, Some(2), &trace);
         assert_eq!(plain.to_json(), traced.to_json());
         trace_rounds_ensemble(&spec, &traced, &trace);
         let merged = trace.merged();

@@ -1,39 +1,186 @@
-//! Glue between the experiment grids and the sweep control plane: one
-//! [`AnySpec`] wrapper that gives every registered grid (`ensemble` |
-//! `multidim` | `dynamic_rates` | `adversary_search`) the same four capabilities the
-//! coordinator needs — a [`SweepPlan`] identity, a [`CellExecutor`],
-//! report assembly from flat outcome rows, and the table renderer.
+//! The one [`Grid`] trait behind every registered experiment grid
+//! (`ensemble` | `multidim` | `dynamic_rates` | `adversary_search`).
+//!
+//! A grid spec knows its registry name, base seed, cells, the labels of
+//! the rows one cell contributes, how to run one cell, and its table.
+//! The rest is written once over the trait: [`run_grid`] (the classic
+//! in-process run; a disabled [`TraceHandle`] is the untraced run), the
+//! coordinator's bounds-checked [`CellExecutor`], report assembly (one
+//! label/seed derivation for [`run_grid`] and
+//! [`AnySpec::report_from_rows`]), `--replay`, and the `sweep-worker`
+//! serve loop ([`worker_serve`]). [`AnySpec`] is the registry: adding a
+//! grid is one [`Grid`] impl plus one registry entry — an [`AnySpec`]
+//! variant, named in [`GRID_REGISTRY`], [`AnySpec::resolve`] and the
+//! `dispatch!` macro.
 //!
 //! The load-bearing invariant: for every grid,
 //!
 //! ```text
-//! report_from_rows(coordinated run rows)  ==  run_<grid>(spec, threads)
+//! report_from_rows(coordinated run rows)  ==  run_grid(spec, threads)
 //! ```
 //!
 //! **byte-for-byte** on the JSON — whether the rows came from in-process
 //! threads, spawned worker processes, or a checkpoint resumed across
-//! three kills. The tests at the bottom pin this on the golden presets;
-//! the CI `resume-integrity` job pins it end-to-end against
-//! `ci/golden_sweep.json`.
-//!
-//! This module also hosts the `sweep-worker` serve loop
-//! ([`worker_serve`]) so the worker binary stays a thin `main`.
+//! three kills. The tests below and in `tests/cli.rs` pin this for every
+//! grid against its `ci/` golden; the CI `resume-integrity` job pins it
+//! end-to-end under a real `SIGKILL`.
 
 use std::io::{BufRead as _, Write as _};
 use std::time::Duration;
 
-use tight_bounds_consensus::controlplane::{protocol, CellExecutor, SweepPlan};
+use tight_bounds_consensus::controlplane::{coordinator, protocol, CellExecutor, SweepPlan};
+use tight_bounds_consensus::pool;
 use tight_bounds_consensus::prelude::*;
-use tight_bounds_consensus::sweep::{cell_seed, EnsembleCell};
+use tight_bounds_consensus::sweep::cell_seed;
 
-use crate::advsearch::{
-    adversary_table, run_adversary, run_adversary_cell, try_adversary_spec, AdvCell, AdversarySpec,
-};
+use crate::advsearch::{try_adversary_spec, AdversarySpec};
 use crate::experiments::{
-    dynamic_table, ensemble_table, multidim_table, run_dynamic, run_dynamic_cell, run_ensemble,
-    run_ensemble_cell, run_multidim, run_multidim_cell, try_dynamic_spec, try_ensemble_spec,
-    try_multidim_spec, DynamicSpec, EnsembleSpec, MultidimSpec, SpecError,
+    try_dynamic_spec, try_ensemble_spec, try_multidim_spec, DynamicSpec, EnsembleSpec,
+    MultidimSpec, SpecError,
 };
+
+/// One experiment grid: a spec whose cells the sweep pool, the
+/// coordinator and the worker processes all run through
+/// [`Grid::run_cell`]. Every cell contributes `ROWS` outcome rows: one,
+/// or the matched coordinatewise/simplex pair for multidim.
+pub trait Grid<const ROWS: usize>: Sync {
+    /// The registry name (`sweep --grid NAME`, the checkpoint header).
+    const NAME: &'static str;
+    /// The one-line `sweep --list` description.
+    const DESCRIPTION: &'static str;
+    /// One point of the grid.
+    type Cell: Sync;
+
+    /// The report name embedded in the JSON (golden files are
+    /// self-describing).
+    fn report_name(&self) -> &str;
+    /// The base seed all per-cell seeds derive from.
+    fn base_seed(&self) -> u64;
+    /// Overrides the base seed (the `--seed` flag).
+    fn set_base_seed(&mut self, seed: u64);
+    /// The cells, in report order.
+    fn cells(&self) -> Vec<Self::Cell>;
+    /// The labels of the outcome rows one cell contributes, in row
+    /// order.
+    fn row_labels(&self, cell: &Self::Cell) -> [String; ROWS];
+    /// Runs one cell: the outcome rows of [`Grid::row_labels`], a pure
+    /// function of `(cell, ctx)`. Grids with inner trace points record
+    /// them in `trace`; the outcomes never depend on it.
+    fn run_cell(&self, cell: &Self::Cell, ctx: CellCtx, trace: &TraceHandle)
+        -> [CellOutcome; ROWS];
+    /// Renders the grid's human table for a report.
+    fn table(&self, report: &SweepReport) -> String;
+}
+
+/// The named experiment grids the `sweep` bin can select with
+/// `--grid <name>` (and enumerate with `--list`): `(name, description)`
+/// pairs, in display order. New grids register here instead of growing
+/// new flags.
+pub const GRID_REGISTRY: &[(&str, &str)] = &[
+    (EnsembleSpec::NAME, EnsembleSpec::DESCRIPTION),
+    (MultidimSpec::NAME, MultidimSpec::DESCRIPTION),
+    (DynamicSpec::NAME, DynamicSpec::DESCRIPTION),
+    (AdversarySpec::NAME, AdversarySpec::DESCRIPTION),
+];
+
+/// Runs a grid on the sweep pool (`threads = None` ⇒ all cores; thread
+/// count never changes the report). An enabled `trace` records the
+/// per-cell spans, the pool profile and the grid's own trace points;
+/// the report is byte-identical to the untraced run.
+#[must_use]
+pub fn run_grid<const R: usize, G: Grid<R>>(
+    grid: &G,
+    threads: Option<usize>,
+    trace: &TraceHandle,
+) -> SweepReport {
+    let sweep = Sweep::new(grid.cells())
+        .seed(grid.base_seed())
+        .threads(threads.unwrap_or_else(pool::default_threads))
+        .trace(trace.clone());
+    let rows = sweep.run(|cell, ctx| grid.run_cell(cell, ctx, trace));
+    report(grid, sweep.cells(), rows.into_flattened())
+}
+
+/// Assembles a report from flat outcome rows (cell order, one row per
+/// label): each row carries its cell's label and seed.
+///
+/// # Panics
+///
+/// Panics if `rows` does not hold exactly one row per label.
+fn report<const R: usize, G: Grid<R>>(
+    grid: &G,
+    cells: &[G::Cell],
+    rows: Vec<CellOutcome>,
+) -> SweepReport {
+    let mut labels = Vec::with_capacity(rows.len());
+    let mut seeds = Vec::with_capacity(rows.len());
+    for (i, cell) in cells.iter().enumerate() {
+        let seed = cell_seed(grid.base_seed(), i as u64);
+        for label in grid.row_labels(cell) {
+            labels.push(label);
+            seeds.push(seed);
+        }
+    }
+    SweepReport::new(grid.report_name(), grid.base_seed(), labels, seeds, rows)
+}
+
+/// The coordinator plan (and checkpoint header identity) of a grid.
+fn plan<const R: usize, G: Grid<R>>(grid: &G, preset: &str) -> SweepPlan {
+    SweepPlan {
+        grid: G::NAME.into(),
+        preset: preset.into(),
+        base_seed: grid.base_seed(),
+        n_cells: grid.cells().len(),
+        rows_per_cell: R,
+    }
+}
+
+/// An in-process [`CellExecutor`] over one grid (cells materialized
+/// once): runs [`Grid::run_cell`] with the same `(base_seed, cell)`-
+/// derived [`CellCtx`] as [`run_grid`], so its rows are bit-identical to
+/// an uncoordinated sweep's.
+struct GridExecutor<'g, const R: usize, G: Grid<R>> {
+    grid: &'g G,
+    cells: Vec<G::Cell>,
+    delay: Duration,
+}
+
+impl<'g, const R: usize, G: Grid<R>> GridExecutor<'g, R, G> {
+    fn new(grid: &'g G, delay: Duration) -> Self {
+        GridExecutor {
+            grid,
+            cells: grid.cells(),
+            delay,
+        }
+    }
+}
+
+impl<const R: usize, G: Grid<R>> CellExecutor for GridExecutor<'_, R, G> {
+    /// # Errors
+    ///
+    /// Errs when `cell` is not an index of the grid.
+    fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String> {
+        let Some(c) = self.cells.get(cell) else {
+            return Err(format!(
+                "cell {cell} out of range: grid has {} cells",
+                self.cells.len()
+            ));
+        };
+        if !self.delay.is_zero() {
+            // Pure pacing for the CI kill window: lengthens wall-clock
+            // time, never touches the data path.
+            std::thread::sleep(self.delay);
+        }
+        let ctx = CellCtx {
+            index: cell,
+            seed: cell_seed(self.grid.base_seed(), cell as u64),
+        };
+        Ok(self
+            .grid
+            .run_cell(c, ctx, &TraceHandle::disabled())
+            .to_vec())
+    }
+}
 
 /// Any registered experiment grid, behind one interface.
 #[derive(Debug, Clone)]
@@ -48,6 +195,24 @@ pub enum AnySpec {
     Adversary(AdversarySpec),
 }
 
+/// Evaluates `$body` with `$g` bound to the wrapped spec, whatever its
+/// [`Grid`] type.
+macro_rules! dispatch {
+    ($spec:expr, $g:ident => $body:expr) => {
+        match $spec {
+            AnySpec::Ensemble($g) => $body,
+            AnySpec::Multidim($g) => $body,
+            AnySpec::Dynamic($g) => $body,
+            AnySpec::Adversary($g) => $body,
+        }
+    };
+}
+
+/// The registry name of a grid value.
+fn grid_name<const R: usize, G: Grid<R>>(_: &G) -> &'static str {
+    G::NAME
+}
+
 impl AnySpec {
     /// Resolves a `(grid, preset)` pair from the registry.
     ///
@@ -56,241 +221,100 @@ impl AnySpec {
     /// [`SpecError::UnknownGrid`] for an unregistered grid name,
     /// [`SpecError::UnknownPreset`] for a bad preset within a grid.
     pub fn resolve(grid: &str, preset: &str) -> Result<AnySpec, SpecError> {
-        match grid {
-            "ensemble" => Ok(AnySpec::Ensemble(try_ensemble_spec(preset)?)),
-            "multidim" => Ok(AnySpec::Multidim(try_multidim_spec(preset)?)),
-            "dynamic_rates" => Ok(AnySpec::Dynamic(try_dynamic_spec(preset)?)),
-            "adversary_search" => Ok(AnySpec::Adversary(try_adversary_spec(preset)?)),
-            other => Err(SpecError::UnknownGrid { got: other.into() }),
-        }
+        Ok(match grid {
+            EnsembleSpec::NAME => AnySpec::Ensemble(try_ensemble_spec(preset)?),
+            MultidimSpec::NAME => AnySpec::Multidim(try_multidim_spec(preset)?),
+            DynamicSpec::NAME => AnySpec::Dynamic(try_dynamic_spec(preset)?),
+            AdversarySpec::NAME => AnySpec::Adversary(try_adversary_spec(preset)?),
+            other => return Err(SpecError::UnknownGrid { got: other.into() }),
+        })
     }
 
     /// The registry name of the wrapped grid.
     #[must_use]
     pub fn grid_name(&self) -> &'static str {
-        match self {
-            AnySpec::Ensemble(_) => "ensemble",
-            AnySpec::Multidim(_) => "multidim",
-            AnySpec::Dynamic(_) => "dynamic_rates",
-            AnySpec::Adversary(_) => "adversary_search",
-        }
-    }
-
-    /// The spec's base seed.
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        match self {
-            AnySpec::Ensemble(s) => s.base_seed,
-            AnySpec::Multidim(s) => s.base_seed,
-            AnySpec::Dynamic(s) => s.base_seed,
-            AnySpec::Adversary(s) => s.base_seed,
-        }
+        dispatch!(self, g => grid_name(g))
     }
 
     /// Overrides the base seed (the `--seed` flag).
     pub fn set_base_seed(&mut self, seed: u64) {
-        match self {
-            AnySpec::Ensemble(s) => s.base_seed = seed,
-            AnySpec::Multidim(s) => s.base_seed = seed,
-            AnySpec::Dynamic(s) => s.base_seed = seed,
-            AnySpec::Adversary(s) => s.base_seed = seed,
-        }
-    }
-
-    /// The number of grid cells.
-    #[must_use]
-    pub fn n_cells(&self) -> usize {
-        match self {
-            AnySpec::Ensemble(s) => s.grid.cells().len(),
-            AnySpec::Multidim(s) => s.grid.cells().len(),
-            AnySpec::Dynamic(s) => s.grid.cells().len(),
-            AnySpec::Adversary(s) => s.cells.len(),
-        }
-    }
-
-    /// Outcome rows per cell: 2 for multidim (the matched
-    /// coordinatewise/simplex pair), 1 otherwise.
-    #[must_use]
-    pub fn rows_per_cell(&self) -> usize {
-        match self {
-            AnySpec::Multidim(_) => 2,
-            _ => 1,
-        }
+        dispatch!(self, g => g.set_base_seed(seed));
     }
 
     /// The coordinator plan (and checkpoint header identity) of this
     /// spec under the given preset name.
     #[must_use]
     pub fn plan(&self, preset: &str) -> SweepPlan {
-        SweepPlan {
-            grid: self.grid_name().into(),
-            preset: preset.into(),
-            base_seed: self.base_seed(),
-            n_cells: self.n_cells(),
-            rows_per_cell: self.rows_per_cell(),
-        }
+        dispatch!(self, g => plan(g, preset))
     }
 
     /// An in-process [`CellExecutor`] over this grid (cells
-    /// materialized once). `delay` stretches every cell by a sleep —
-    /// the CI crash-resume job uses it to make a mid-grid `SIGKILL`
-    /// land reliably; zero means no overhead.
+    /// materialized once). `delay` stretches every cell by a sleep — the
+    /// CI crash-resume job uses it to make a mid-grid `SIGKILL` land
+    /// reliably; zero means no overhead.
     #[must_use]
-    pub fn executor(&self, delay: Duration) -> GridExecutor<'_> {
-        GridExecutor {
-            spec: self,
-            cells: match self {
-                AnySpec::Ensemble(s) => AnyCells::Ensemble(s.grid.cells()),
-                AnySpec::Multidim(s) => AnyCells::Multidim(s.grid.cells()),
-                AnySpec::Dynamic(s) => AnyCells::Dynamic(s.grid.cells()),
-                AnySpec::Adversary(s) => AnyCells::Adversary(s.cells.clone()),
-            },
-            delay,
-        }
+    pub fn executor(&self, delay: Duration) -> Box<dyn CellExecutor + '_> {
+        dispatch!(self, g => Box::new(GridExecutor::new(g, delay)))
     }
 
     /// Assembles the grid's [`SweepReport`] from coordinator outcome
-    /// rows (flat, `rows_per_cell` per cell, cell order) — the exact
-    /// labels/seeds layout of the in-process `run_*` functions, so the
-    /// JSON is byte-identical to theirs.
+    /// rows (flat, `rows_per_cell` per cell, cell order) — the labels
+    /// and seeds of [`run_grid`], so the JSON is byte-identical to its.
     ///
     /// # Panics
     ///
     /// Panics if `rows.len() != n_cells * rows_per_cell`.
     #[must_use]
     pub fn report_from_rows(&self, rows: Vec<CellOutcome>) -> SweepReport {
-        assert_eq!(
-            rows.len(),
-            self.n_cells() * self.rows_per_cell(),
-            "rows_per_cell rows per grid cell"
-        );
-        match self {
-            AnySpec::Ensemble(s) => {
-                let cells = s.grid.cells();
-                let labels: Vec<String> = cells.iter().map(EnsembleCell::label).collect();
-                let seeds: Vec<u64> = (0..cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Multidim(s) => {
-                let cells = s.grid.cells();
-                let mut labels = Vec::with_capacity(rows.len());
-                let mut seeds = Vec::with_capacity(rows.len());
-                for (i, cell) in cells.iter().enumerate() {
-                    let seed = cell_seed(s.base_seed, i as u64);
-                    for alg in ["coordinatewise", "simplex"] {
-                        labels.push(format!("{} alg={alg}", cell.label()));
-                        seeds.push(seed);
-                    }
-                }
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Dynamic(s) => {
-                let cells = s.grid.cells();
-                let labels: Vec<String> = cells.iter().map(DynamicCell::label).collect();
-                let seeds: Vec<u64> = (0..cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-            AnySpec::Adversary(s) => {
-                let labels: Vec<String> = s.cells.iter().map(AdvCell::label).collect();
-                let seeds: Vec<u64> = (0..s.cells.len())
-                    .map(|i| cell_seed(s.base_seed, i as u64))
-                    .collect();
-                SweepReport::new(s.name.clone(), s.base_seed, labels, seeds, rows)
-            }
-        }
+        dispatch!(self, g => report(g, &g.cells(), rows))
     }
 
     /// Renders the grid's human table for a report.
     #[must_use]
     pub fn table(&self, report: &SweepReport) -> String {
-        match self {
-            AnySpec::Ensemble(_) => ensemble_table(report),
-            AnySpec::Multidim(s) => multidim_table(s, report),
-            AnySpec::Dynamic(s) => dynamic_table(s, report),
-            AnySpec::Adversary(s) => adversary_table(s, report),
-        }
+        dispatch!(self, g => g.table(report))
     }
 
     /// The classic in-process path (no checkpoint, no workers): runs
-    /// the grid straight on the sweep pool.
+    /// the grid straight on the sweep pool, tracing into `trace`.
+    #[must_use]
+    pub fn run(&self, threads: Option<usize>, trace: &TraceHandle) -> SweepReport {
+        dispatch!(self, g => run_grid(g, threads, trace))
+    }
+
+    /// [`AnySpec::run`] untraced.
     #[must_use]
     pub fn run_in_process(&self, threads: Option<usize>) -> SweepReport {
-        match self {
-            AnySpec::Ensemble(s) => run_ensemble(s, threads),
-            AnySpec::Multidim(s) => run_multidim(s, threads),
-            AnySpec::Dynamic(s) => run_dynamic(s, threads),
-            AnySpec::Adversary(s) => run_adversary(s, threads),
-        }
+        self.run(threads, &TraceHandle::disabled())
     }
-}
 
-/// The materialized cell lists behind a [`GridExecutor`].
-#[derive(Debug, Clone)]
-enum AnyCells {
-    Ensemble(Vec<EnsembleCell>),
-    Multidim(Vec<MultidimCell>),
-    Dynamic(Vec<DynamicCell>),
-    Adversary(Vec<AdvCell>),
-}
-
-/// An in-process [`CellExecutor`] over one grid: runs the same
-/// `run_*_cell` functions as the classic path, with the same
-/// `(base_seed, cell)`-derived [`CellCtx`], so its rows are bit-
-/// identical to an uncoordinated sweep's.
-#[derive(Debug)]
-pub struct GridExecutor<'s> {
-    spec: &'s AnySpec,
-    cells: AnyCells,
-    delay: Duration,
-}
-
-impl GridExecutor<'_> {
-    /// The outcome rows of one cell (panics propagate; the coordinator
-    /// contains them).
-    #[must_use]
-    pub fn rows(&self, cell: usize) -> Vec<CellOutcome> {
-        let ctx = CellCtx {
-            index: cell,
-            seed: cell_seed(self.spec.base_seed(), cell as u64),
-        };
-        match (&self.cells, self.spec) {
-            (AnyCells::Ensemble(cells), AnySpec::Ensemble(s)) => {
-                vec![run_ensemble_cell(&cells[cell], ctx, s.tol, s.max_rounds)]
-            }
-            (AnyCells::Multidim(cells), AnySpec::Multidim(s)) => {
-                let (cw, sx) = run_multidim_cell(&cells[cell], ctx, s.tol, s.max_rounds);
-                vec![cw, sx]
-            }
-            (AnyCells::Dynamic(cells), AnySpec::Dynamic(s)) => {
-                vec![run_dynamic_cell(&cells[cell], ctx, s.tol, s.max_rounds)]
-            }
-            (AnyCells::Adversary(cells), AnySpec::Adversary(_)) => {
-                vec![run_adversary_cell(&cells[cell], ctx)]
-            }
-            _ => unreachable!("cells always built from the owning spec"),
-        }
-    }
-}
-
-impl CellExecutor for GridExecutor<'_> {
-    fn run_cell(&self, cell: usize) -> Result<Vec<CellOutcome>, String> {
-        if !self.delay.is_zero() {
-            // Pure pacing for the CI kill window: lengthens wall-clock
-            // time, never touches the data path.
-            std::thread::sleep(self.delay);
-        }
-        Ok(self.rows(cell))
+    /// Re-runs cell `index` solo — same configuration, same seed as the
+    /// full run — and returns its rows as `(label, seed, outcome)`: the
+    /// debugging path for a surprising aggregate.
+    ///
+    /// # Errors
+    ///
+    /// Errs when `index` is not a cell of the grid.
+    pub fn replay(&self, index: usize) -> Result<Vec<(String, u64, CellOutcome)>, String> {
+        dispatch!(self, g => {
+            let exec = GridExecutor::new(g, Duration::ZERO);
+            let rows = exec.run_cell(index)?;
+            let seed = cell_seed(g.base_seed(), index as u64);
+            Ok(g.row_labels(&exec.cells[index])
+                .into_iter()
+                .zip(rows)
+                .map(|(label, o)| (label, seed, o))
+                .collect())
+        })
     }
 }
 
 /// The `sweep-worker` serve loop: one request line in, one response
-/// line out, until stdin closes. `fail_cells` injects `failed`
-/// responses for the named cells (the coordinator-retry test aid —
-/// never used by real runs).
+/// line out, until stdin closes. Every cell runs through
+/// [`AnySpec::executor`] with panics contained, so an out-of-range index
+/// is a `failed` response naming the grid size. `fail_cells` injects
+/// `failed` responses for the named cells (the coordinator-retry test
+/// aid — never used by real runs).
 ///
 /// # Errors
 ///
@@ -309,32 +333,28 @@ pub fn worker_serve(
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match protocol::decode_request(&line) {
-            Err(e) => protocol::encode_failed(u64::MAX, &format!("bad request: {e}")),
-            Ok(cell) if fail_cells.contains(&cell) => {
-                protocol::encode_failed(cell, "injected failure (--fail-cells)")
-            }
-            Ok(cell) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    exec.rows(cell as usize)
-                })) {
-                    Ok(rows) => protocol::encode_done(cell, &rows),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned());
-                        protocol::encode_failed(cell, &format!("cell panicked: {msg}"))
-                    }
-                }
-            }
-        };
-        out.write_all(reply.as_bytes())?;
+        out.write_all(worker_reply(&*exec, fail_cells, &line).as_bytes())?;
         out.write_all(b"\n")?;
         out.flush()?;
     }
     Ok(())
+}
+
+/// The [`worker_serve`] response line to one request line.
+fn worker_reply(exec: &dyn CellExecutor, fail_cells: &[u64], line: &str) -> String {
+    match protocol::decode_request(line) {
+        Err(e) => protocol::encode_failed(u64::MAX, &format!("bad request: {e}")),
+        Ok(cell) if fail_cells.contains(&cell) => {
+            protocol::encode_failed(cell, "injected failure (--fail-cells)")
+        }
+        Ok(cell) => match usize::try_from(cell)
+            .map_err(|_| format!("cell {cell} out of range"))
+            .and_then(|i| coordinator::contain_panic(i, || exec.run_cell(i)))
+        {
+            Ok(rows) => protocol::encode_done(cell, &rows),
+            Err(e) => protocol::encode_failed(cell, &e),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -344,10 +364,10 @@ mod tests {
 
     #[test]
     fn resolve_covers_the_registry_and_rejects_strangers() {
-        for (grid, _) in crate::experiments::GRID_REGISTRY {
+        for (grid, _) in GRID_REGISTRY {
             let spec = AnySpec::resolve(grid, "golden").expect("registered grid");
             assert_eq!(spec.grid_name(), *grid);
-            assert!(spec.n_cells() > 0);
+            assert!(spec.plan("golden").n_cells > 0);
         }
         let err = AnySpec::resolve("bogus", "golden").expect_err("unregistered");
         assert!(err.to_string().contains("unknown grid `bogus`"), "{err}");
@@ -365,7 +385,7 @@ mod tests {
                 threads: 3,
                 ..RunConfig::default()
             },
-            &exec,
+            &*exec,
             &Metrics::new(),
         )
         .expect("coordinated run");
@@ -394,13 +414,13 @@ mod tests {
             tol: 1e-4,
             max_rounds: 200,
         });
-        assert_eq!(spec.rows_per_cell(), 2);
+        assert_eq!(spec.plan("unit").rows_per_cell, 2);
         let classic = spec.run_in_process(Some(1)).to_json();
         let exec = spec.executor(Duration::ZERO);
         let out = controlplane::run(
             &spec.plan("unit"),
             &RunConfig::default(),
-            &exec,
+            &*exec,
             &Metrics::new(),
         )
         .expect("run");
@@ -411,10 +431,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_answers_an_out_of_range_cell_with_a_typed_failure() {
+        let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
+        let reply = worker_reply(&*spec.executor(Duration::ZERO), &[], "{\"cell\": 999}");
+        assert_eq!(
+            protocol::decode_response(&reply),
+            Ok(protocol::Response::Failed {
+                cell: 999,
+                error: "cell 999 out of range: grid has 16 cells".into(),
+            }),
+            "a typed error, not a caught panic"
+        );
+    }
+
+    #[test]
     fn worker_protocol_round_trips_executor_rows() {
         let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let exec = spec.executor(Duration::ZERO);
-        let rows = exec.rows(3);
+        let rows = spec.executor(Duration::ZERO).run_cell(3).expect("in range");
         let line = protocol::encode_done(3, &rows);
         let protocol::Response::Done { outcomes, .. } =
             protocol::decode_response(&line).expect("decode")

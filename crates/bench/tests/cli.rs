@@ -1,11 +1,14 @@
 //! End-to-end tests of the `sweep` binary's CLI: clean usage errors
-//! (one stderr line, exit code 2, never a backtrace) and the
-//! control-plane paths — checkpoint/resume, spawned worker processes,
-//! injected worker failures, and the metrics snapshot — each pinned
-//! byte-identical to the classic in-process golden JSON.
+//! (one stderr line, exit code 2, never a backtrace) and, for every
+//! registered grid, the classic, checkpoint/resume and spawned-worker
+//! paths pinned byte-identical to the grid's `ci/` golden JSON, plus
+//! `--replay`, injected worker failures, and the metrics snapshot.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use consensus_bench::orchestrate::{AnySpec, GRID_REGISTRY};
+use tight_bounds_consensus::obs::json::Json;
 
 fn sweep() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweep"));
@@ -18,6 +21,29 @@ fn sweep() -> Command {
 
 fn run(args: &[&str]) -> std::process::Output {
     sweep().args(args).output().expect("spawn the sweep bin")
+}
+
+/// The preset the CI `sweep-regression` matrix runs `grid` at, and the
+/// bytes of the golden file it diffs that run against.
+fn ci_golden(grid: &str) -> (&'static str, Vec<u8>) {
+    let (preset, file) = match grid {
+        "ensemble" => ("golden", "golden_sweep.json"),
+        "multidim" => ("quick", "golden_multidim.json"),
+        "dynamic_rates" => ("quick", "golden_dynamic.json"),
+        "adversary_search" => ("quick", "golden_adversary.json"),
+        other => panic!("registered grid `{other}` has no CI golden file"),
+    };
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../ci")
+        .join(file);
+    (preset, std::fs::read(path).expect("read the golden file"))
+}
+
+/// `--grid G --preset P --json` followed by `extra`.
+fn grid_args<'a>(grid: &'a str, preset: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = vec!["--grid", grid, "--preset", preset, "--json"];
+    args.extend_from_slice(extra);
+    args
 }
 
 fn tmpfile(name: &str) -> PathBuf {
@@ -81,76 +107,147 @@ fn named_preset_flag_runs_the_golden_grid() {
     );
 }
 
-/// The classic golden JSON, computed once per test that needs it.
-fn classic_golden_json() -> Vec<u8> {
-    let out = run(&["--golden", "--json"]);
-    assert!(out.status.success(), "classic golden run");
-    out.stdout
-}
-
 #[test]
 fn interrupted_checkpoint_run_resumes_to_the_identical_golden_json() {
-    let classic = classic_golden_json();
-    let ck = tmpfile("resume.sweepck");
-    std::fs::remove_file(&ck).ok();
-    let ck_s = ck.to_str().expect("utf8 temp path");
+    for (grid, _) in GRID_REGISTRY {
+        let (preset, golden) = ci_golden(grid);
+        let out = run(&grid_args(grid, preset, &[]));
+        assert!(out.status.success(), "{grid}: classic run");
+        assert_eq!(out.stdout, golden, "{grid}: classic JSON is the golden");
 
-    // Phase 1: stop mid-grid (the deterministic stand-in for SIGKILL —
-    // the CI resume-integrity job does the real kill).
-    let out = run(&[
-        "--golden",
-        "--json",
-        "--checkpoint",
-        ck_s,
-        "--stop-after",
-        "6",
-    ]);
-    assert!(out.status.success(), "interrupted run exits 0");
-    assert!(out.stdout.is_empty(), "no JSON for an incomplete grid");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("rerun with --resume"),
-        "points at resume: {err}"
-    );
-    assert!(ck.exists(), "checkpoint file persisted");
+        let ck = tmpfile(&format!("resume-{grid}.sweepck"));
+        std::fs::remove_file(&ck).ok();
+        let ck_s = ck.to_str().expect("utf8 temp path");
 
-    // Phase 2: resume at a different thread count — byte-identical.
-    let out = run(&[
-        "--golden",
-        "--json",
-        "--checkpoint",
-        ck_s,
-        "--resume",
-        "--threads",
-        "3",
-    ]);
-    assert!(
-        out.status.success(),
-        "resume run: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(out.stdout, classic, "resumed JSON is byte-identical");
+        // Phase 1: stop mid-grid (the deterministic stand-in for
+        // SIGKILL — the CI resume-integrity job does the real kill). Two
+        // threads finish at most one cell past the stop.
+        let n_cells = AnySpec::resolve(grid, preset)
+            .expect("registered grid")
+            .plan(preset)
+            .n_cells;
+        let half = (n_cells / 2).to_string();
+        let out = run(&grid_args(
+            grid,
+            preset,
+            &[
+                "--checkpoint",
+                ck_s,
+                "--stop-after",
+                &half,
+                "--threads",
+                "2",
+            ],
+        ));
+        assert!(out.status.success(), "{grid}: interrupted run exits 0");
+        assert!(
+            out.stdout.is_empty(),
+            "{grid}: no JSON for an incomplete grid"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("rerun with --resume"),
+            "{grid}: points at resume: {err}"
+        );
+        assert!(ck.exists(), "{grid}: checkpoint file persisted");
 
-    // Phase 3: resuming a complete checkpoint is a no-op re-aggregation.
-    let out = run(&["--golden", "--json", "--checkpoint", ck_s, "--resume"]);
-    assert!(out.status.success(), "second resume");
-    assert_eq!(out.stdout, classic, "no-op resume is byte-identical too");
-    std::fs::remove_file(&ck).ok();
+        // Phase 2: resume at a different thread count — byte-identical.
+        let out = run(&grid_args(
+            grid,
+            preset,
+            &["--checkpoint", ck_s, "--resume", "--threads", "3"],
+        ));
+        assert!(
+            out.status.success(),
+            "{grid}: resume run: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.stdout, golden, "{grid}: resumed JSON is the golden");
+
+        // Phase 3: resuming a complete checkpoint is a no-op
+        // re-aggregation.
+        let out = run(&grid_args(
+            grid,
+            preset,
+            &["--checkpoint", ck_s, "--resume"],
+        ));
+        assert!(out.status.success(), "{grid}: second resume");
+        assert_eq!(out.stdout, golden, "{grid}: no-op resume is the golden too");
+        std::fs::remove_file(&ck).ok();
+    }
 }
 
 #[test]
 fn worker_processes_produce_the_identical_golden_json() {
-    let classic = classic_golden_json();
-    let out = run(&["--golden", "--json", "--workers", "3"]);
-    assert!(
-        out.status.success(),
-        "worker run: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        out.stdout, classic,
-        "worker-computed JSON is byte-identical"
-    );
+    for (grid, _) in GRID_REGISTRY {
+        let (preset, golden) = ci_golden(grid);
+        let out = run(&grid_args(grid, preset, &["--workers", "3"]));
+        assert!(
+            out.status.success(),
+            "{grid}: worker run: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            out.stdout, golden,
+            "{grid}: worker-computed JSON is the golden"
+        );
+    }
+}
+
+#[test]
+fn replay_prints_the_golden_rows_of_one_cell_on_every_grid() {
+    for (grid, _) in GRID_REGISTRY {
+        let (preset, golden) = ci_golden(grid);
+        let plan = AnySpec::resolve(grid, preset)
+            .expect("registered grid")
+            .plan(preset);
+        let index = plan.n_cells / 2;
+        let doc = Json::parse(std::str::from_utf8(&golden).expect("utf8 golden")).expect("golden");
+        let rows = doc
+            .field("cells_detail")
+            .and_then(Json::as_array)
+            .expect("cells_detail");
+        let want: String = rows[index * plan.rows_per_cell..(index + 1) * plan.rows_per_cell]
+            .iter()
+            .map(|row| {
+                let f = |k: &str| row.field(k).expect("golden row field");
+                let rate: f64 = match f("rate") {
+                    Json::Num(x) => x.parse().expect("rate"),
+                    _ => f64::NAN,
+                };
+                let decision = match f("decision_round") {
+                    Json::Null => None,
+                    d => Some(d.as_u64().expect("decision round")),
+                };
+                format!(
+                    "cell {index} [{}] seed {}: rate {rate:.6}, decision {decision:?}, rounds {}, converged {}, fingerprint {}\n",
+                    f("label").as_str().expect("label"),
+                    f("seed").as_u64().expect("seed"),
+                    f("rounds").as_u64().expect("rounds"),
+                    f("converged").as_bool().expect("converged"),
+                    f("fingerprint").as_str().expect("fingerprint"),
+                )
+            })
+            .collect();
+        let out = run(&grid_args(grid, preset, &["--replay", &index.to_string()]));
+        assert!(out.status.success(), "{grid}: replay");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            want,
+            "{grid}: replay of cell {index} prints its golden rows"
+        );
+
+        // An index past the grid is a clean usage error, not a panic.
+        let past = plan.n_cells.to_string();
+        let out = run(&grid_args(grid, preset, &["--replay", &past]));
+        assert_eq!(out.status.code(), Some(2), "{grid}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("cell {past} out of range: grid has {past} cells");
+        assert!(
+            err.contains(&want) && !err.contains("panicked"),
+            "{grid}: {err}"
+        );
+    }
 }
 
 #[test]

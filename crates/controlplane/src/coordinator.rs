@@ -313,15 +313,7 @@ fn run_contained(
     cell: usize,
     rows: usize,
 ) -> Result<Vec<CellOutcome>, String> {
-    let outcomes =
-        catch_unwind(AssertUnwindSafe(|| executor.run_cell(cell))).unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(format!("cell {cell} panicked: {msg}"))
-        })?;
+    let outcomes = contain_panic(cell, || executor.run_cell(cell))?;
     if outcomes.len() != rows {
         return Err(format!(
             "cell {cell} produced {} outcome rows, expected {rows}",
@@ -329,6 +321,27 @@ fn run_contained(
         ));
     }
     Ok(outcomes)
+}
+
+/// Runs one attempt at `cell`, turning a panic into
+/// `Err("cell {cell} panicked: …")` — the containment of every
+/// coordinator attempt and every `sweep-worker` request.
+///
+/// # Errors
+///
+/// The attempt's own error, or the panic message.
+pub fn contain_panic(
+    cell: usize,
+    attempt: impl FnOnce() -> Result<Vec<CellOutcome>, String>,
+) -> Result<Vec<CellOutcome>, String> {
+    catch_unwind(AssertUnwindSafe(attempt)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        Err(format!("cell {cell} panicked: {msg}"))
+    })
 }
 
 #[cfg(test)]

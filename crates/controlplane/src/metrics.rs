@@ -152,7 +152,7 @@ impl MetricsSnapshot {
             Some(ms) => {
                 let secs = ms as f64 / 1000.0;
                 let rate = if secs > 0.0 {
-                    consensus_sweep::report::json_f64(self.cells_done as f64 / secs)
+                    consensus_obs::json::float(self.cells_done as f64 / secs)
                 } else {
                     "null".to_owned()
                 };

@@ -1,35 +1,17 @@
-//! Byte-stable JSONL serialization of event streams, plus the
-//! hand-rolled line parser the `trace-report` bin reads back with.
-//!
-//! Same contract as `consensus-sweep::report`: keys in a fixed order,
-//! floats in Rust's shortest-roundtrip formatting with non-finite
-//! values as `null`, and — in content mode — nothing machine- or
-//! time-dependent, so the CI trace golden (`ci/golden_trace.jsonl`)
-//! can diff the output byte-for-byte across thread counts.
+//! Byte-stable JSONL serialization of event streams, plus the line
+//! parser the `trace-report` bin reads back with, both on the
+//! [`crate::json`] codec: keys in a fixed order and — in content mode —
+//! nothing machine- or time-dependent, so the CI trace golden
+//! (`ci/golden_trace.jsonl`) can diff the output byte-for-byte across
+//! thread counts.
 //!
 //! Gauges additionally carry their payload as a `bits` hex field: the
 //! `value` field is for humans, `bits` is the authoritative bit-exact
 //! round-trip channel (`f64::to_bits`).
 
 use crate::event::{Class, EventKind};
+use crate::json::{self, Json};
 use crate::trace::EventStream;
-
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn push_line(out: &mut String, e: &crate::recorder::TimedEvent, timing: bool) {
     out.push_str(&format!(
@@ -38,23 +20,16 @@ fn push_line(out: &mut String, e: &crate::recorder::TimedEvent, timing: bool) {
         e.lane,
         e.seq,
         e.event.kind.tag(),
-        escape(e.event.name),
+        json::escape(e.event.name),
         e.event.index,
     ));
     match e.event.kind {
         EventKind::Counter => out.push_str(&format!(",\"value\":{}", e.event.value)),
-        EventKind::Gauge => {
-            let x = e.event.value_f64();
-            let human = if x.is_finite() {
-                format!("{x:?}")
-            } else {
-                "null".to_owned()
-            };
-            out.push_str(&format!(
-                ",\"value\":{human},\"bits\":\"{:016x}\"",
-                e.event.value
-            ));
-        }
+        EventKind::Gauge => out.push_str(&format!(
+            ",\"value\":{},\"bits\":\"{:016x}\"",
+            json::float(e.event.value_f64()),
+            e.event.value
+        )),
         EventKind::SpanBegin | EventKind::SpanEnd => {}
     }
     if e.event.class == Class::Profile {
@@ -124,68 +99,33 @@ impl ParsedEvent {
     }
 }
 
-/// Extracts the raw text of `"key":<value>` from a single-line JSON
-/// object produced by this module (values never contain unescaped `,`
-/// or `}` except inside strings, which our emitter never produces).
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| c == ',' || c == '}')
-        .map_or(rest.len(), |(i, _)| i);
-    Some(rest[..end].trim())
-}
-
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let raw = raw_field(line, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    // Names are identifiers in practice; unescape the basics anyway.
-    Some(
-        inner
-            .replace("\\\"", "\"")
-            .replace("\\n", "\n")
-            .replace("\\\\", "\\"),
-    )
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    raw_field(line, key)?.parse().ok()
-}
-
 /// Parses one line written by [`to_jsonl_content`] or
 /// [`to_jsonl_full`]. Returns `None` on blank or malformed lines.
 #[must_use]
 pub fn parse_line(line: &str) -> Option<ParsedEvent> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    let kind = EventKind::from_tag(&str_field(line, "kind")?)?;
+    let v = Json::parse(line).ok()?;
+    let u64_field = |key: &str| v.field(key).and_then(Json::as_u64).ok();
+    let kind = EventKind::from_tag(v.field("kind").and_then(Json::as_str).ok()?)?;
     let value = match kind {
-        EventKind::Counter => u64_field(line, "value").unwrap_or(0),
-        EventKind::Gauge => {
-            let hex = str_field(line, "bits")?;
-            u64::from_str_radix(&hex, 16).ok()?
-        }
+        EventKind::Counter => u64_field("value")?,
+        EventKind::Gauge => v.field("bits").and_then(Json::as_hex_u64).ok()?,
         EventKind::SpanBegin | EventKind::SpanEnd => 0,
     };
-    let class = if str_field(line, "class").as_deref() == Some("profile") {
+    let class = if v.field("class").and_then(Json::as_str) == Ok("profile") {
         Class::Profile
     } else {
         Class::Content
     };
     Some(ParsedEvent {
-        shard: u64_field(line, "shard")?,
-        lane: u64_field(line, "lane")? as u8,
-        seq: u64_field(line, "seq")? as u32,
+        shard: u64_field("shard")?,
+        lane: u8::try_from(u64_field("lane")?).ok()?,
+        seq: u32::try_from(u64_field("seq")?).ok()?,
         kind,
         class,
-        name: str_field(line, "name")?,
-        index: u64_field(line, "index")?,
+        name: v.field("name").and_then(Json::as_str).ok()?.to_owned(),
+        index: u64_field("index")?,
         value,
-        t_ns: u64_field(line, "t_ns"),
+        t_ns: u64_field("t_ns"),
     })
 }
 
@@ -232,18 +172,30 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_every_line() {
-        let s = sample();
-        for (line, want) in to_jsonl_full(&s).lines().zip(&s.events) {
-            let p = parse_line(line).expect("parses");
-            assert_eq!(p.shard, want.shard);
-            assert_eq!(p.lane, want.lane);
-            assert_eq!(p.seq, want.seq);
-            assert_eq!(p.kind, want.event.kind);
-            assert_eq!(p.class, want.event.class);
-            assert_eq!(p.name, want.event.name);
-            assert_eq!(p.index, want.event.index);
-            assert_eq!(p.value, want.event.value);
-            assert_eq!(p.t_ns, want.t_ns);
+        // Names carrying JSON-significant characters: a `,` or `}` inside
+        // the string, escaped control characters, a quote, and a literal
+        // backslash followed by `n` (not a newline).
+        let t = TraceHandle::enabled_with(64, Arc::new(TickClock::new()));
+        let mut r = t.recorder(2, lane::SWEEP).expect("enabled");
+        for name in ["a,b", "x}y", "tab\there", "ctl\u{1}", "x\\ny", "q\"uote"] {
+            r.counter(name, 2, 7);
+        }
+        t.commit(r);
+        for s in [sample(), t.merged()] {
+            let text = to_jsonl_full(&s);
+            assert_eq!(text.lines().count(), s.events.len());
+            for (line, want) in text.lines().zip(&s.events) {
+                let p = parse_line(line).expect("parses");
+                assert_eq!(p.shard, want.shard);
+                assert_eq!(p.lane, want.lane);
+                assert_eq!(p.seq, want.seq);
+                assert_eq!(p.kind, want.event.kind);
+                assert_eq!(p.class, want.event.class);
+                assert_eq!(p.name, want.event.name);
+                assert_eq!(p.index, want.event.index);
+                assert_eq!(p.value, want.event.value);
+                assert_eq!(p.t_ns, want.t_ns);
+            }
         }
     }
 

@@ -32,7 +32,9 @@
 //! ## Sinks
 //!
 //! * [`jsonl`] — byte-stable JSONL ([`to_jsonl_content`] /
-//!   [`to_jsonl_full`]) plus the parser the `trace-report` bin uses;
+//!   [`to_jsonl_full`]) plus the parser the `trace-report` bin uses,
+//!   both on [`json`], the workspace's one JSON codec (also used by the
+//!   sweep reports, the metrics snapshot and the worker protocol);
 //! * the in-memory query API on [`EventStream`]
 //!   ([`EventStream::events_for_span`], [`EventStream::gauge_values`],
 //!   [`summarize`] percentiles);
@@ -44,6 +46,7 @@
 
 pub mod clock;
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod query;
 pub mod recorder;

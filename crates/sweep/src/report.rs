@@ -1,5 +1,5 @@
-//! Machine-readable sweep reports: a tiny, dependency-free JSON emitter
-//! with byte-stable output.
+//! Machine-readable sweep reports: a byte-stable JSON emitter on the
+//! shared [`consensus_obs::json`] codec.
 //!
 //! The CI `sweep-regression` job diffs this output against a checked-in
 //! golden file, so stability is a contract: keys are emitted in a fixed
@@ -7,36 +7,9 @@
 //! every platform), non-finite floats become `null`, and nothing
 //! machine- or time-dependent (thread counts, durations) is included.
 
+use consensus_obs::json;
+
 use crate::stats::{CellOutcome, Stats, SweepSummary};
-
-/// Escapes a string for a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as JSON: shortest-roundtrip decimal, `null` when not
-/// finite (JSON has no NaN/Infinity).
-#[must_use]
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 fn json_stats(stats: Option<&Stats>, indent: &str) -> String {
     match stats {
@@ -44,12 +17,12 @@ fn json_stats(stats: Option<&Stats>, indent: &str) -> String {
         Some(s) => format!(
             "{{\n{indent}  \"count\": {},\n{indent}  \"min\": {},\n{indent}  \"max\": {},\n{indent}  \"mean\": {},\n{indent}  \"std_dev\": {},\n{indent}  \"median\": {},\n{indent}  \"p90\": {}\n{indent}}}",
             s.count,
-            json_f64(s.min),
-            json_f64(s.max),
-            json_f64(s.mean),
-            json_f64(s.std_dev),
-            json_f64(s.median),
-            json_f64(s.p90),
+            json::float(s.min),
+            json::float(s.max),
+            json::float(s.mean),
+            json::float(s.std_dev),
+            json::float(s.median),
+            json::float(s.p90),
         ),
     }
 }
@@ -105,7 +78,7 @@ impl SweepReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", json_escape(&self.name)));
+        out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
         out.push_str(&format!("  \"base_seed\": {},\n", self.base_seed));
         out.push_str(&format!("  \"cells\": {},\n", self.outcomes.len()));
         let s = &self.summary;
@@ -133,9 +106,9 @@ impl SweepReport {
                 .map_or("null".to_owned(), |r| r.to_string());
             out.push_str(&format!(
                 "    {{\"index\": {i}, \"label\": \"{}\", \"seed\": {}, \"rate\": {}, \"decision_round\": {decision}, \"rounds\": {}, \"converged\": {}, \"fingerprint\": \"{:016x}\"}}{}\n",
-                json_escape(&self.labels[i]),
+                json::escape(&self.labels[i]),
                 self.seeds[i],
-                json_f64(o.rate),
+                json::float(o.rate),
                 o.rounds,
                 o.converged,
                 o.fingerprint,
@@ -192,10 +165,10 @@ mod tests {
 
     #[test]
     fn floats_roundtrip_shortest() {
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(1.0), "1.0");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.0 / 3.0), "0.3333333333333333");
+        assert_eq!(json::float(0.5), "0.5");
+        assert_eq!(json::float(1.0), "1.0");
+        assert_eq!(json::float(f64::INFINITY), "null");
+        assert_eq!(json::float(1.0 / 3.0), "0.3333333333333333");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! the proptests here sample the rest.
 
 use consensus_bench::experiments::{
-    dynamic_spec, ensemble_spec, multidim_spec, run_dynamic, run_dynamic_traced, run_ensemble,
-    run_ensemble_traced, run_multidim, run_multidim_traced,
+    dynamic_spec, ensemble_spec, multidim_spec, run_dynamic, run_ensemble, run_multidim,
 };
 use consensus_bench::obswire::{enrich_report, trace_rounds_ensemble};
+use consensus_bench::orchestrate::run_grid;
 use proptest::prelude::*;
 use tight_bounds_consensus::obs::{to_jsonl_content, TraceHandle};
 
@@ -24,7 +24,7 @@ proptest! {
         let spec = ensemble_spec("golden");
         let threads = usize::try_from(threads).expect("small");
         let plain = run_ensemble(&spec, Some(threads));
-        let traced = run_ensemble_traced(&spec, Some(threads), TraceHandle::enabled());
+        let traced = run_grid(&spec, Some(threads), &TraceHandle::enabled());
         prop_assert_eq!(plain.to_json(), traced.to_json());
     }
 
@@ -38,8 +38,8 @@ proptest! {
         let threads = usize::try_from(threads).expect("small");
         let t1 = TraceHandle::enabled();
         let tn = TraceHandle::enabled();
-        let r1 = run_ensemble_traced(&spec, Some(1), t1.clone());
-        let rn = run_ensemble_traced(&spec, Some(threads), tn.clone());
+        let r1 = run_grid(&spec, Some(1), &t1);
+        let rn = run_grid(&spec, Some(threads), &tn);
         enrich_report(&t1, &r1);
         enrich_report(&tn, &rn);
         trace_rounds_ensemble(&spec, &r1, &t1);
@@ -59,8 +59,8 @@ fn multidim_and_dynamic_grids_trace_deterministically() {
     let plain = run_multidim(&mspec, Some(3));
     let t1 = TraceHandle::enabled();
     let tn = TraceHandle::enabled();
-    let r1 = run_multidim_traced(&mspec, Some(1), t1.clone());
-    let rn = run_multidim_traced(&mspec, Some(3), tn.clone());
+    let r1 = run_grid(&mspec, Some(1), &t1);
+    let rn = run_grid(&mspec, Some(3), &tn);
     assert_eq!(plain.to_json(), rn.to_json());
     enrich_report(&t1, &r1);
     enrich_report(&tn, &rn);
@@ -73,8 +73,8 @@ fn multidim_and_dynamic_grids_trace_deterministically() {
     let plain = run_dynamic(&dspec, Some(3));
     let t1 = TraceHandle::enabled();
     let tn = TraceHandle::enabled();
-    let r1 = run_dynamic_traced(&dspec, Some(1), t1.clone());
-    let rn = run_dynamic_traced(&dspec, Some(3), tn.clone());
+    let r1 = run_grid(&dspec, Some(1), &t1);
+    let rn = run_grid(&dspec, Some(3), &tn);
     assert_eq!(plain.to_json(), rn.to_json());
     enrich_report(&t1, &r1);
     enrich_report(&tn, &rn);
