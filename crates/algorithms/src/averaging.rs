@@ -176,6 +176,15 @@ mod tests {
     }
 
     #[test]
+    fn self_weighted_keeps_value_when_alone() {
+        let alg = SelfWeightedAverage::new(0.25);
+        let mut s = alg.init(3, Point([9.5]));
+        let inbox = crate::InboxBuffer::from_pairs(&[(3, Point([9.5]))]);
+        alg.step(3, &mut s, inbox.as_inbox(), 1);
+        assert_eq!(s, Point([9.5]));
+    }
+
+    #[test]
     #[should_panic(expected = "self-weight")]
     fn rejects_bad_weight() {
         let _ = SelfWeightedAverage::new(1.5);

@@ -91,11 +91,15 @@ pub type Agent = consensus_digraph::Agent;
 /// Determinism is part of the model: identical inboxes must produce
 /// identical states (the lower bounds' indistinguishability arguments
 /// rely on it). Implementations must not use randomness or ambient state.
-pub trait Algorithm<const D: usize> {
+///
+/// The executor may step disjoint chunks of agents on several threads
+/// against one shared message slate, hence the `Sync` algorithm,
+/// `Send` states and `Sync` messages.
+pub trait Algorithm<const D: usize>: Sync {
     /// Per-agent local state.
-    type State: Clone + std::fmt::Debug;
+    type State: Clone + std::fmt::Debug + Send;
     /// The message broadcast each round.
-    type Msg: Clone + std::fmt::Debug;
+    type Msg: Clone + std::fmt::Debug + Sync;
 
     /// A short human-readable name (used in bench tables). Borrowed for
     /// the common parameter-free case; parameterised algorithms return

@@ -171,8 +171,21 @@ impl<const D: usize> IndexMut<usize> for Point<D> {
 /// The fold uses [`crate::float::det_max`], so a NaN coordinate in the
 /// data yields a NaN diameter instead of being silently dropped — the
 /// adaptive adversaries' argmaxes rely on corrupted forks surfacing.
+///
+/// For `D == 1` the diameter is `max − min`, found in one O(n) scan
+/// (cheap at `n = 10⁶`). No difference is squared there, so two values
+/// closer than about `1.5e-154` no longer underflow into agreement; for
+/// every wider finite spread the result has the same bits as the
+/// pairwise scan.
 #[must_use]
 pub fn diameter<const D: usize>(points: &[Point<D>]) -> f64 {
+    if D == 1 {
+        if points.len() < 2 {
+            return 0.0;
+        }
+        let (lo, hi) = scalar_extremes(points);
+        return hi - lo;
+    }
     let mut best: f64 = 0.0;
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
@@ -180,6 +193,32 @@ pub fn diameter<const D: usize>(points: &[Point<D>]) -> f64 {
         }
     }
     best
+}
+
+/// `(min, max)` of the first coordinates in one pass, unrolled into
+/// four accumulator lanes so the chain of comparisons does not
+/// serialise the scan. [`crate::float::det_min`]/[`crate::float::det_max`]
+/// order totally, so the lane shape cannot change the result and a NaN
+/// propagates.
+fn scalar_extremes<const D: usize>(points: &[Point<D>]) -> (f64, f64) {
+    use crate::float::{det_max, det_min};
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let mut quads = points.chunks_exact(4);
+    for q in &mut quads {
+        for j in 0..4 {
+            lo[j] = det_min(lo[j], q[j][0]);
+            hi[j] = det_max(hi[j], q[j][0]);
+        }
+    }
+    for (j, p) in quads.remainder().iter().enumerate() {
+        lo[j] = det_min(lo[j], p[0]);
+        hi[j] = det_max(hi[j], p[0]);
+    }
+    (
+        det_min(det_min(lo[0], lo[1]), det_min(lo[2], lo[3])),
+        det_max(det_max(hi[0], hi[1]), det_max(hi[2], hi[3])),
+    )
 }
 
 /// The largest per-coordinate spread `max_c (max_i p_i[c] − min_i p_i[c])`
@@ -817,6 +856,54 @@ mod tests {
         assert!((diameter(&pts) - 1.0).abs() < 1e-12);
         assert_eq!(diameter::<1>(&[]), 0.0);
         assert_eq!(diameter(&[Point([1.0])]), 0.0);
+    }
+
+    #[test]
+    fn scalar_diameter_does_not_underflow() {
+        // The pairwise scan squared the difference: 1e-170² underflows
+        // to 0, so two different values read as agreement.
+        assert_eq!(diameter(&[Point([0.0]), Point([1e-170])]), 1e-170);
+        assert_eq!(diameter(&[Point([1e-160]), Point([0.0])]), 1e-160);
+        assert!(diameter(&[Point([0.0]), Point([f64::NAN]), Point([1.0])]).is_nan());
+    }
+
+    #[test]
+    fn scalar_scan_matches_the_pairwise_scan_bit_for_bit() {
+        // The pairwise definition, as `diameter` computed it for every D.
+        fn pairwise(points: &[Point<1>]) -> f64 {
+            let mut best: f64 = 0.0;
+            for (i, a) in points.iter().enumerate() {
+                for b in &points[i + 1..] {
+                    best = crate::float::det_max(best, a.dist(b));
+                }
+            }
+            best
+        }
+        // splitmix64: seeded sets of sizes 0..40 over mixed magnitudes
+        // and signs, so every lane/remainder shape is covered.
+        let mut state = 0x5EED_D1A3_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for trial in 0..400 {
+            let len = trial % 40;
+            let scale = 10f64.powi((next() % 61) as i32 - 30);
+            let pts: Vec<Point<1>> = (0..len)
+                .map(|_| {
+                    let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                    Point([(2.0 * unit - 1.0) * scale])
+                })
+                .collect();
+            assert_eq!(
+                diameter(&pts).to_bits(),
+                pairwise(&pts).to_bits(),
+                "trial {trial}: {pts:?}"
+            );
+        }
     }
 
     #[test]

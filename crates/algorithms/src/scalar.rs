@@ -1,157 +1,12 @@
-//! Flat scalar (structure-of-arrays) kernels for `Point<1>` algorithms.
-//!
-//! The generic executor steps agents through [`Algorithm<1>`] over
-//! `Point<1>` slates. At `n ≈ 10⁵–10⁶` the wrapper costs real memory
-//! bandwidth: the sharded executor instead keeps all agent values in
-//! one flat `Vec<f64>` and steps them through a [`ScalarKernel`] — the
-//! same update rule expressed directly on `f64`.
-//!
-//! # Bit-identity contract
-//!
-//! For every implementor, `step_scalar` must produce **bit-for-bit**
-//! the value that [`Algorithm::<1>::step`] writes for the corresponding
-//! `Point<1>` inbox: same fold order (ascending senders — guaranteed by
-//! [`Inbox`] on every sender-set representation), same operations, same
-//! association. The `kernel_matches_algorithm` tests and the large-`n`
-//! executor identity suite pin this down; any deviation (e.g. summing
-//! in a different order, or using `a + (b - a) / 2` where the algorithm
-//! uses `(a + b) * 0.5`) is a bug even when mathematically equivalent.
+//! The scalar-algorithm bound.
 
-use crate::{Agent, Algorithm, Inbox, MeanValue, Midpoint, SelfWeightedAverage};
+use crate::{Algorithm, Point};
 
-/// A `Point<1>` algorithm that admits a flat `f64` kernel.
-///
-/// See the module docs for the bit-identity contract with
-/// [`Algorithm<1>`].
-pub trait ScalarKernel: Algorithm<1, State = crate::Point<1>, Msg = crate::Point<1>> {
-    /// Computes the agent's next value from its current value and its
-    /// scalar inbox (`slate[j]` is agent `j`'s broadcast this round).
-    fn step_scalar(&self, agent: Agent, value: f64, inbox: Inbox<'_, f64>, round: u64) -> f64;
+/// An algorithm whose state and messages are single scalars
+/// ([`Point<1>`]): midpoint, mean-value and self-weighted averaging
+/// among the built-in rules. Blanket-implemented for every such
+/// [`Algorithm<1>`]; it adds no methods — the one executor steps every
+/// algorithm through [`Algorithm::step`].
+pub trait ScalarKernel: Algorithm<1, State = Point<1>, Msg = Point<1>> {}
 
-    /// The scalar broadcast for the given value — must mirror
-    /// [`Algorithm::message`]. The default is the identity, which is
-    /// correct for every kernel whose `message` returns the state
-    /// unchanged (all the built-in averaging/midpoint rules).
-    fn message_scalar(&self, value: f64) -> f64 {
-        value
-    }
-}
-
-impl ScalarKernel for Midpoint {
-    fn step_scalar(&self, _agent: Agent, _value: f64, inbox: Inbox<'_, f64>, _round: u64) -> f64 {
-        debug_assert!(!inbox.is_empty(), "self-loop guarantees a message");
-        let mut it = inbox.iter();
-        let (_, &first) = it.next().expect("self-loop guarantees a message");
-        let mut lo = first;
-        let mut hi = first;
-        for (_, &v) in it {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo + hi) * 0.5
-    }
-}
-
-impl ScalarKernel for MeanValue {
-    fn step_scalar(&self, _agent: Agent, _value: f64, inbox: Inbox<'_, f64>, _round: u64) -> f64 {
-        debug_assert!(!inbox.is_empty());
-        let mut acc = 0.0f64;
-        for (_, &v) in inbox {
-            acc += v;
-        }
-        acc * (1.0 / inbox.len() as f64)
-    }
-}
-
-impl ScalarKernel for SelfWeightedAverage {
-    fn step_scalar(&self, agent: Agent, value: f64, inbox: Inbox<'_, f64>, _round: u64) -> f64 {
-        let mut acc = 0.0f64;
-        let mut count = 0usize;
-        for (from, &v) in inbox {
-            if from != agent {
-                acc += v;
-                count += 1;
-            }
-        }
-        if count > 0 {
-            value * self.self_weight() + acc * ((1.0 - self.self_weight()) / count as f64)
-        } else {
-            value
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{InboxBuffer, Point};
-
-    /// Deterministic awkward values: subnormals-adjacent, negative
-    /// zero, long decimal tails that don't round-trip through any
-    /// shorter arithmetic.
-    fn awkward_slates() -> Vec<Vec<f64>> {
-        vec![
-            vec![0.1, 0.2, 0.3],
-            vec![-0.0, 0.0, 1e-300],
-            vec![1.0 / 3.0, 2.0 / 3.0, 1.0 / 7.0, 5.0 / 11.0],
-            vec![-1e16, 1.0, 1e-16, 7.25],
-            vec![42.0],
-            vec![f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 0.5],
-        ]
-    }
-
-    fn check_kernel<K: ScalarKernel>(alg: &K) {
-        for slate in awkward_slates() {
-            for agent in 0..slate.len() {
-                // Point<1> path.
-                let pairs: Vec<(usize, Point<1>)> = slate
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| (j, Point([v])))
-                    .collect();
-                let buf = InboxBuffer::from_pairs(&pairs);
-                let mut state = alg.init(agent, Point([slate[agent]]));
-                alg.step(agent, &mut state, buf.as_inbox(), 1);
-                let dense = alg.output(&state)[0];
-
-                // Scalar path over the same slate.
-                let scalar_pairs: Vec<(usize, f64)> =
-                    slate.iter().enumerate().map(|(j, &v)| (j, v)).collect();
-                let sbuf = InboxBuffer::from_pairs(&scalar_pairs);
-                let scalar = alg.step_scalar(agent, slate[agent], sbuf.as_inbox(), 1);
-
-                assert_eq!(
-                    dense.to_bits(),
-                    scalar.to_bits(),
-                    "kernel diverged for {:?} agent {agent}: {dense} vs {scalar}",
-                    slate
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn midpoint_kernel_matches_algorithm() {
-        check_kernel(&Midpoint);
-    }
-
-    #[test]
-    fn mean_value_kernel_matches_algorithm() {
-        check_kernel(&MeanValue);
-    }
-
-    #[test]
-    fn self_weighted_kernel_matches_algorithm() {
-        check_kernel(&SelfWeightedAverage::new(0.5));
-        check_kernel(&SelfWeightedAverage::new(1.0 / 3.0));
-        check_kernel(&SelfWeightedAverage::new(0.0));
-        check_kernel(&SelfWeightedAverage::new(1.0));
-    }
-
-    #[test]
-    fn self_weighted_keeps_value_when_alone() {
-        let alg = SelfWeightedAverage::new(0.25);
-        let buf = InboxBuffer::from_pairs(&[(3, 9.5)]);
-        assert_eq!(alg.step_scalar(3, 9.5, buf.as_inbox(), 1), 9.5);
-    }
-}
+impl<A: Algorithm<1, State = Point<1>, Msg = Point<1>>> ScalarKernel for A {}

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark: per-round executor cost, legacy
 //! gather-and-clone inboxes vs the zero-allocation [`Inbox`] slate path,
-//! plus the **large-`n` sharded executor** measurement the CI gate
+//! plus the **large-`n` chunked executor** measurement the CI gate
 //! uploads as `BENCH_executor.json`.
 //!
 //! The legacy path replicates the seed semantics: per agent per round,
@@ -9,12 +9,12 @@
 //! `Execution::step`: one shared slate written once per round, per-agent
 //! views are a bitmask + slice borrow — no per-round heap allocation.
 //!
-//! The sharded section times `ShardedExecution` (flat SoA state, CSR
-//! ring-lattice topology, intra-round chunk parallelism) at
-//! `n ∈ {10³, 10⁴, 10⁵}` — well past the dense path's `n ≤ 64` cap —
-//! at one thread and at the full worker pool, and writes the measured
-//! throughput to `BENCH_executor.json` (override the path with the
-//! `BENCH_EXECUTOR_OUT` environment variable).
+//! The large-`n` section times the same `Execution` on a CSR
+//! ring-lattice topology with intra-round chunk parallelism at
+//! `n ∈ {10³, 10⁴, 10⁵}` — well past the dense `Digraph`'s `n ≤ 64`
+//! cap — at one thread and at the full worker pool, and writes the
+//! measured throughput to `BENCH_executor.json` (override the path with
+//! the `BENCH_EXECUTOR_OUT` environment variable).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -92,7 +92,7 @@ fn sharded_run(n: usize, rounds: u64, threads: usize) -> (f64, f64) {
         .map(|i| ((i * 2_654_435_761 % 1_000_003) as f64) / 1_000_003.0)
         .collect();
     let g = CsrDigraph::ring_lattice(n, LATTICE_K);
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(threads);
+    let mut e = Execution::new(Midpoint, &vals).threads(threads);
     let start = Instant::now();
     for _ in 0..rounds {
         e.step(black_box(&g));

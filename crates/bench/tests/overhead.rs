@@ -41,7 +41,7 @@ fn observed_executor_overhead_stays_small() {
     let xs = inits(N);
 
     let (base_ns, d_base) = best_of(|| {
-        let mut exec = ShardedExecution::new(MeanValue, &xs).threads(1);
+        let mut exec = Execution::new(MeanValue, &xs).threads(1);
         for _ in 0..ROUNDS {
             exec.step(&g);
         }
@@ -50,7 +50,7 @@ fn observed_executor_overhead_stays_small() {
 
     let trace = TraceHandle::enabled();
     let (obs_ns, d_obs) = best_of(|| {
-        let mut exec = ShardedExecution::new(MeanValue, &xs).threads(1);
+        let mut exec = Execution::new(MeanValue, &xs).threads(1);
         let rec = trace.recorder(0, lane::EXECUTOR).expect("trace is enabled");
         // Stride keeps the recorder under its cap across repetitions
         // while still exercising the telemetry branch every round.

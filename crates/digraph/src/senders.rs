@@ -359,6 +359,10 @@ pub trait RoundTopology: Sync {
     /// Agent `i`'s in-neighborhood (always contains `i` itself under
     /// the paper's self-loop convention).
     fn sender_set(&self, i: Agent) -> SenderSet<'_>;
+
+    /// The number of edges — the sum of the in-degrees, self-loops
+    /// included.
+    fn edge_count(&self) -> usize;
 }
 
 impl RoundTopology for crate::Digraph {
@@ -369,6 +373,10 @@ impl RoundTopology for crate::Digraph {
     fn sender_set(&self, i: Agent) -> SenderSet<'_> {
         crate::Digraph::sender_set(self, i)
     }
+
+    fn edge_count(&self) -> usize {
+        self.edge_count()
+    }
 }
 
 impl RoundTopology for crate::CsrDigraph {
@@ -378,6 +386,10 @@ impl RoundTopology for crate::CsrDigraph {
 
     fn sender_set(&self, i: Agent) -> SenderSet<'_> {
         crate::CsrDigraph::sender_set(self, i)
+    }
+
+    fn edge_count(&self) -> usize {
+        self.edge_count()
     }
 }
 

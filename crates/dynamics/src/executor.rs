@@ -1,19 +1,42 @@
-//! The [`Execution`] engine: states, rounds, forking.
+//! The one [`Execution`] engine: states, rounds, forking, intra-round
+//! parallelism.
 
 use consensus_algorithms::{diameter, Algorithm, Inbox, Point};
-use consensus_digraph::{agents_in, AgentSet, Digraph};
+use consensus_digraph::{RoundTopology, WordSet};
 
 use crate::byzantine::ByzantineStrategy;
 use crate::pattern::PatternSource;
+
+/// Default agents-per-chunk for intra-round parallelism: large enough
+/// to amortize scheduling, small enough to load-balance a million
+/// agents over any realistic core count.
+pub const DEFAULT_CHUNK: usize = 4096;
+
+/// The former name of the large-`n` scalar executor: every algorithm
+/// now runs at any `n` on [`Execution`].
+pub type ShardedExecution<K> = Execution<K, 1>;
 
 /// A live execution of an algorithm: one state per agent, advanced one
 /// communication-closed round at a time (paper §2).
 ///
 /// `Execution` is the low-level stepper: it owns the per-agent states,
 /// a reused message slate (gathered once per round — stepping performs
-/// **no per-round heap allocation** after warm-up), and a cache of the
-/// current outputs. High-level runs (patterns, adversaries, faults,
-/// decision measurement) go through [`crate::Scenario`].
+/// **no per-round heap allocation** after warm-up on one worker), and a
+/// cache of the current outputs. High-level runs (patterns,
+/// adversaries, faults, decision measurement) go through
+/// [`crate::Scenario`].
+///
+/// Rounds step over any [`RoundTopology`]: a dense
+/// [`Digraph`](consensus_digraph::Digraph) (`n ≤ 64`, the type's own
+/// cap) or a [`CsrDigraph`](consensus_digraph::CsrDigraph) with no agent
+/// cap. With [`Execution::threads`] above 1, each round updates the
+/// agents in [`Execution::chunk_size`] chunks on the work-stealing pool
+/// ([`consensus_pool::for_each_chunk_mut`]). Every agent's update reads
+/// only the shared slate of the previous round and writes only its own
+/// state and output slot, so results are **bit-identical at every
+/// thread count and chunk size**; `tests/large_executor.rs` and
+/// `tests/schedule_independence.rs` pin that. See
+/// [`crate::DiameterTrace`] for recording at large `n`.
 ///
 /// `Execution` is [`Clone`] (when the algorithm is), which is how the
 /// valency engine forks a configuration `C` into the different successor
@@ -22,7 +45,7 @@ use crate::pattern::PatternSource;
 pub struct Execution<A: Algorithm<D>, const D: usize> {
     alg: A,
     states: Vec<A::State>,
-    /// Cached `y(t)`, refreshed after every step.
+    /// Cached `y(t)`, refreshed agent by agent as each round steps.
     outs: Vec<Point<D>>,
     /// Reused per-round message slate (`msgs[j]` = agent `j`'s broadcast).
     msgs: Vec<A::Msg>,
@@ -30,22 +53,26 @@ pub struct Execution<A: Algorithm<D>, const D: usize> {
     /// (empty unless faults are injected).
     fault_msgs: Vec<A::Msg>,
     round: u64,
+    threads: usize,
+    chunk: usize,
 }
 
 impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     /// Starts an execution of `alg` from the given initial values
-    /// (one per agent; `inits.len()` is the number of agents `n`).
+    /// (one per agent; `inits.len()` is the number of agents `n`, with
+    /// no cap). Values may be given as points or, for `D = 1`, as
+    /// plain `f64`s.
     ///
     /// # Panics
     ///
-    /// Panics if `inits` is empty or has more than 64 agents.
+    /// Panics if `inits` is empty.
     #[must_use]
-    pub fn new(alg: A, inits: &[Point<D>]) -> Self {
-        assert!(!inits.is_empty() && inits.len() <= 64, "need 1..=64 agents");
+    pub fn new<V: Copy + Into<Point<D>>>(alg: A, inits: &[V]) -> Self {
+        assert!(!inits.is_empty(), "need at least one agent");
         let states: Vec<A::State> = inits
             .iter()
             .enumerate()
-            .map(|(i, &y0)| alg.init(i, y0))
+            .map(|(i, &y0)| alg.init(i, y0.into()))
             .collect();
         let outs = states.iter().map(|s| alg.output(s)).collect();
         Execution {
@@ -55,7 +82,27 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
             msgs: Vec::with_capacity(inits.len()),
             fault_msgs: Vec::new(),
             round: 0,
+            threads: 1,
+            chunk: DEFAULT_CHUNK,
         }
+    }
+
+    /// Sets the worker count for intra-round parallelism (default 1,
+    /// sequential). Thread count never affects results, only wall-clock
+    /// time.
+    #[must_use]
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Sets the agents-per-chunk granularity of intra-round parallelism
+    /// (default [`DEFAULT_CHUNK`]). Chunk size never affects results,
+    /// only load balance.
+    #[must_use]
+    pub fn chunk_size(mut self, chunk: usize) -> Self {
+        self.chunk = chunk.max(1);
+        self
     }
 
     /// The number of agents.
@@ -108,31 +155,57 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
         &self.states[agent]
     }
 
-    fn refresh_outputs(&mut self) {
-        self.outs.clear();
-        let alg = &self.alg;
-        self.outs.extend(self.states.iter().map(|s| alg.output(s)));
-    }
-
-    /// Executes one round with communication graph `g`: gather all
-    /// messages once into the shared slate, hand every agent an
-    /// [`Inbox`] view masked by its in-neighborhood (self included),
-    /// apply the transition function everywhere.
+    /// Executes one round with topology `g`: gather all messages once
+    /// into the shared slate, hand every agent an [`Inbox`] view
+    /// restricted to its in-neighborhood (self included), apply the
+    /// transition function everywhere and refresh the output cache.
+    ///
+    /// With one worker, or when all agents fit in one chunk, this is a
+    /// plain serial loop with no allocation. Otherwise each chunk of
+    /// agents — its states and its slice of the output cache — is one
+    /// job on the pool.
     ///
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()`.
-    pub fn step(&mut self, g: &Digraph) {
+    pub fn step<G: RoundTopology>(&mut self, g: &G) {
         assert_eq!(g.n(), self.n(), "graph size must match agent count");
         self.round += 1;
-        self.msgs.clear();
-        let alg = &self.alg;
-        self.msgs.extend(self.states.iter().map(|s| alg.message(s)));
-        for (i, state) in self.states.iter_mut().enumerate() {
-            let inbox = Inbox::new(g.in_mask(i), &self.msgs);
-            self.alg.step(i, state, inbox, self.round);
+        let round = self.round;
+        let Execution {
+            alg,
+            states,
+            outs,
+            msgs,
+            threads,
+            chunk,
+            ..
+        } = self;
+        msgs.clear();
+        msgs.extend(states.iter().map(|s| alg.message(s)));
+        let (alg, msgs, chunk) = (&*alg, &*msgs, *chunk);
+        let update = |start: usize, states: &mut [A::State], outs: &mut [Point<D>]| {
+            for (k, (state, out)) in states.iter_mut().zip(outs).enumerate() {
+                let i = start + k;
+                alg.step(i, state, Inbox::from_senders(g.sender_set(i), msgs), round);
+                *out = alg.output(state);
+            }
+        };
+        if (*threads).min(states.len().div_ceil(chunk)) <= 1 {
+            update(0, states, outs);
+            return;
         }
-        self.refresh_outputs();
+        let mut jobs: Vec<_> = states
+            .chunks_mut(chunk)
+            .zip(outs.chunks_mut(chunk))
+            .enumerate()
+            .map(|(k, (s, o))| (k * chunk, s, o))
+            .collect();
+        consensus_pool::for_each_chunk_mut(&mut jobs, 1, *threads, |_, job| {
+            for (start, s, o) in job {
+                update(*start, s, o);
+            }
+        });
     }
 
     /// [`Execution::step`] with round-level telemetry: wraps the round
@@ -149,7 +222,11 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()`.
-    pub fn step_observed(&mut self, g: &Digraph, tel: &mut consensus_obs::RoundTelemetry) {
+    pub fn step_observed<G: RoundTopology>(
+        &mut self,
+        g: &G,
+        tel: &mut consensus_obs::RoundTelemetry,
+    ) {
         let round = self.round + 1;
         if !tel.needs_diameter(round) {
             // A decimated round no emitted ratio depends on: run the
@@ -159,10 +236,7 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
         }
         tel.begin_round(round);
         self.step(g);
-        let receptions: u64 = (0..self.n())
-            .map(|i| u64::from(g.in_mask(i).count_ones()))
-            .sum();
-        tel.end_round(round, self.value_diameter(), receptions);
+        tel.end_round(round, self.value_diameter(), g.edge_count() as u64);
     }
 
     /// Runs under `pattern` until the spread drops to ≤ `tol` (or
@@ -225,48 +299,88 @@ pub struct LimitEstimate<const D: usize> {
     pub rounds: u64,
 }
 
+impl<A: Algorithm<1>> Execution<A, 1> {
+    /// The current scalar outputs `y_i(t)` in agent order, read from the
+    /// output cache — no allocation.
+    pub fn values(&self) -> Values<'_> {
+        Values(self.outs.iter())
+    }
+}
+
+/// The iterator behind [`Execution::values`]. Deliberately not
+/// `#[must_use]` (unlike `impl Iterator`), so timing code may hand it to
+/// `black_box` unconsumed.
+#[derive(Debug, Clone)]
+pub struct Values<'a>(std::slice::Iter<'a, Point<1>>);
+
+impl Iterator for Values<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        self.0.next().map(|p| p[0])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Values<'_> {}
+
 impl<A: Algorithm<1, Msg = Point<1>>> Execution<A, 1> {
     /// Executes one round with the agents in `byzantine` replaced by
     /// `strategy`: honest agents receive the slate with the liars' slots
     /// overwritten by forged values (per receiver — two-faced faults),
     /// Byzantine agents' states are frozen. Only scalar-message
-    /// algorithms can be attacked this way.
+    /// algorithms can be attacked this way. The fault path is serial:
+    /// the strategy is stateful and must see receivers in agent order
+    /// to stay deterministic.
     ///
     /// # Panics
     ///
     /// Panics if `g.n() != self.n()` or every agent is Byzantine.
-    pub fn step_with_faults(
+    pub fn step_with_faults<G: RoundTopology>(
         &mut self,
-        g: &Digraph,
-        byzantine: AgentSet,
+        g: &G,
+        byzantine: &WordSet,
         strategy: &mut dyn ByzantineStrategy,
     ) {
         assert_eq!(g.n(), self.n(), "graph size must match agent count");
-        let n = self.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let honest = all & !byzantine;
-        assert!(honest != 0, "at least one honest agent required");
+        assert!(
+            (0..self.n()).any(|i| !byzantine.contains(i)),
+            "at least one honest agent required"
+        );
         self.round += 1;
-        self.msgs.clear();
-        let alg = &self.alg;
-        self.msgs.extend(self.states.iter().map(|s| alg.message(s)));
+        let round = self.round;
+        let Execution {
+            alg,
+            states,
+            outs,
+            msgs,
+            fault_msgs,
+            ..
+        } = self;
+        msgs.clear();
+        msgs.extend(states.iter().map(|s| alg.message(s)));
         // Reused scratch slate: forge only the liars' slots per receiver
         // (two-faced strategies send different lies to each agent) and
-        // restore them afterwards — O(f) per receiver, no allocation.
-        self.fault_msgs.clear();
-        self.fault_msgs.extend(self.msgs.iter().copied());
-        for i in agents_in(honest) {
-            let forged = g.in_mask(i) & byzantine;
-            for j in agents_in(forged) {
-                self.fault_msgs[j] = Point([strategy.forge(self.round, j, i)]);
+        // restore them afterwards — O(deg) per receiver, no allocation.
+        fault_msgs.clear();
+        fault_msgs.extend_from_slice(msgs);
+        for (i, (state, out)) in states.iter_mut().zip(outs).enumerate() {
+            if byzantine.contains(i) {
+                continue;
             }
-            let inbox = Inbox::new(g.in_mask(i), &self.fault_msgs);
-            self.alg.step(i, &mut self.states[i], inbox, self.round);
-            for j in agents_in(forged) {
-                self.fault_msgs[j] = self.msgs[j];
+            let senders = g.sender_set(i);
+            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
+                fault_msgs[j] = Point([strategy.forge(round, j, i)]);
+            }
+            alg.step(i, state, Inbox::from_senders(senders, fault_msgs), round);
+            *out = alg.output(state);
+            for j in senders.iter().filter(|&j| byzantine.contains(j)) {
+                fault_msgs[j] = msgs[j];
             }
         }
-        self.refresh_outputs();
     }
 }
 
@@ -283,13 +397,25 @@ impl<A: Algorithm<D> + std::fmt::Debug, const D: usize> std::fmt::Debug for Exec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::SplitAttack;
     use crate::pattern::{ConstantPattern, PeriodicPattern};
     use crate::Scenario;
-    use consensus_algorithms::{MeanValue, Midpoint, TwoAgentThirds};
-    use consensus_digraph::families;
+    use consensus_algorithms::{MeanValue, Midpoint, SelfWeightedAverage, TwoAgentThirds};
+    use consensus_digraph::{families, CsrDigraph, Digraph};
 
     fn pts(vals: &[f64]) -> Vec<Point<1>> {
         vals.iter().map(|&v| Point([v])).collect()
+    }
+
+    /// Deterministic, non-uniform, sign-mixed values.
+    fn inits(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 2_654_435_761 % 1_000_003) as f64) / 1_000_003.0 - 0.5)
+            .collect()
+    }
+
+    fn bits<A: Algorithm<1>>(e: &Execution<A, 1>) -> Vec<u64> {
+        e.values().map(f64::to_bits).collect()
     }
 
     #[test]
@@ -422,12 +548,152 @@ mod tests {
         assert_eq!(s.counter_total("messages"), 6 * 7);
         assert_eq!(s.events_for_span("round").len(), 12);
     }
+
+    #[test]
+    fn matches_dense_execution_bitwise_at_small_n() {
+        let vals = inits(23);
+        let g = Digraph::complete(23).make_deaf(4);
+        let csr = CsrDigraph::from_dense(&g);
+        let mut serial = Execution::new(Midpoint, &vals);
+        for _ in 0..17 {
+            serial.step(&g);
+        }
+        for threads in [1, 2, 7] {
+            let mut mask = Execution::new(Midpoint, &vals)
+                .threads(threads)
+                .chunk_size(5);
+            let mut sparse = Execution::new(Midpoint, &vals).threads(threads);
+            for _ in 0..17 {
+                mask.step(&g);
+                sparse.step(&csr);
+            }
+            assert_eq!(bits(&serial), bits(&mask), "mask path, threads={threads}");
+            assert_eq!(bits(&serial), bits(&sparse), "CSR path, threads={threads}");
+        }
+    }
+
+    #[test]
+    fn thread_and_chunk_count_never_change_results() {
+        let vals = inits(501);
+        let csr = CsrDigraph::ring_lattice(501, 3);
+        let mut reference = Execution::new(MeanValue, &vals);
+        for _ in 0..9 {
+            reference.step(&csr);
+        }
+        for (threads, chunk) in [(2, 64), (4, 7), (8, 1000)] {
+            let mut e = Execution::new(MeanValue, &vals)
+                .threads(threads)
+                .chunk_size(chunk);
+            for _ in 0..9 {
+                e.step(&csr);
+            }
+            assert_eq!(
+                bits(&reference),
+                bits(&e),
+                "threads={threads} chunk={chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_well_past_sixty_four_agents() {
+        let n = 500;
+        let csr = CsrDigraph::ring_lattice(n, 2);
+        let mut e = Execution::new(Midpoint, &inits(n)).threads(4);
+        let d0 = e.value_diameter();
+        for _ in 0..200 {
+            e.step(&csr);
+        }
+        assert_eq!(e.round(), 200);
+        assert!(
+            e.value_diameter() < d0 * 0.5,
+            "spread must contract on a connected lattice"
+        );
+    }
+
+    #[test]
+    fn faulty_step_on_mask_matches_csr() {
+        let vals = inits(9);
+        let g = Digraph::complete(9);
+        let csr = CsrDigraph::from_dense(&g);
+        let byz = WordSet::from_mask(0b1_0000_0010); // agents 1 and 8
+        let alg = SelfWeightedAverage::new(0.5);
+        let mut mask = Execution::new(alg, &vals);
+        let mut sparse = Execution::new(alg, &vals);
+        let mut s1 = SplitAttack { magnitude: 2.0 };
+        let mut s2 = s1;
+        for _ in 0..6 {
+            mask.step_with_faults(&g, &byz, &mut s1);
+            sparse.step_with_faults(&csr, &byz, &mut s2);
+        }
+        assert_eq!(bits(&mask), bits(&sparse));
+        assert_eq!(mask.values().nth(1), Some(vals[1]), "liars are frozen");
+    }
+
+    #[test]
+    #[should_panic(expected = "honest agent")]
+    fn all_byzantine_rejected() {
+        let mut e = Execution::new(Midpoint, &[0.0, 1.0]);
+        let mut s = |_: u64, _: usize, _: usize| 0.0;
+        e.step_with_faults(&Digraph::complete(2), &WordSet::full(2), &mut s);
+    }
+
+    #[test]
+    fn observed_step_is_bit_identical_to_step() {
+        use consensus_obs::{lane, RoundTelemetry, TraceHandle};
+        let vals = inits(301);
+        let csr = CsrDigraph::ring_lattice(301, 3);
+        let mut plain = Execution::new(MeanValue, &vals).threads(3).chunk_size(37);
+        let trace = TraceHandle::enabled();
+        let mut tel = RoundTelemetry::new(trace.recorder(0, lane::EXECUTOR).expect("enabled"))
+            .initial_diameter(plain.value_diameter());
+        let mut observed = Execution::new(MeanValue, &vals).threads(3).chunk_size(37);
+        for _ in 0..7 {
+            plain.step(&csr);
+            observed.step_observed(&csr, &mut tel);
+        }
+        assert_eq!(bits(&plain), bits(&observed), "telemetry is inert");
+        trace.commit(tel.finish());
+        let s = trace.merged();
+        let diameters = s.gauge_values("diameter");
+        assert_eq!(diameters.len(), 7);
+        assert_eq!(diameters[6].to_bits(), plain.value_diameter().to_bits());
+        assert_eq!(s.gauge_values("contraction").len(), 7);
+        // Ring lattice with k=3: every agent hears 4 agents (self + 3
+        // predecessors), for 7 rounds.
+        assert_eq!(s.counter_total("messages"), 7 * 301 * 4);
+    }
+
+    #[test]
+    fn observed_content_is_thread_count_invariant() {
+        use consensus_obs::{lane, RoundTelemetry, TraceHandle};
+        let vals = inits(200);
+        let csr = CsrDigraph::ring_lattice(200, 2);
+        let mut streams = Vec::new();
+        for threads in [1, 4] {
+            let trace = TraceHandle::enabled();
+            let mut tel = RoundTelemetry::new(trace.recorder(0, lane::EXECUTOR).expect("enabled"));
+            let mut e = Execution::new(Midpoint, &vals)
+                .threads(threads)
+                .chunk_size(13);
+            for _ in 0..5 {
+                e.step_observed(&csr, &mut tel);
+            }
+            trace.commit(tel.finish());
+            streams.push(trace.merged().content());
+        }
+        assert_eq!(
+            streams[0], streams[1],
+            "content stream must not depend on the worker count"
+        );
+    }
 }
 
 #[cfg(test)]
 mod edge_tests {
     use super::*;
     use consensus_algorithms::{MeanValue, Midpoint};
+    use consensus_digraph::{CsrDigraph, Digraph};
 
     #[test]
     fn single_agent_execution_is_trivial() {
@@ -449,9 +715,13 @@ mod edge_tests {
     }
 
     #[test]
-    #[should_panic(expected = "1..=64")]
-    fn sixty_five_agents_rejected() {
-        let inits: Vec<Point<1>> = (0..65).map(|i| Point([i as f64])).collect();
-        let _ = Execution::new(MeanValue, &inits);
+    fn sixty_five_agents_supported() {
+        let inits: Vec<f64> = (0..65).map(f64::from).collect();
+        let mut e = Execution::new(MeanValue, &inits);
+        e.step(&CsrDigraph::complete(65));
+        assert!(
+            e.value_diameter() < 1e-9,
+            "complete graph averages in one round"
+        );
     }
 }

@@ -12,9 +12,12 @@
 //! * [`Scenario`] — **the** entry point: a builder over *algorithm ×
 //!   driver × faults × stop condition* that runs any experiment shape
 //!   of the paper and returns a [`Trace`];
-//! * [`Execution`] — the low-level stepper: per-agent states,
-//!   zero-allocation single-round stepping over a shared message slate,
-//!   forking (for valency probes);
+//! * [`Execution`] — the one low-level stepper: per-agent states,
+//!   zero-allocation single-round stepping over a shared message slate
+//!   on any [`RoundTopology`](consensus_digraph::RoundTopology) (dense
+//!   `Digraph` up to 64 agents, `CsrDigraph` at any `n`), intra-round
+//!   parallelism via `.threads()`/`.chunk_size()` that never changes a
+//!   result bit, forking (for valency probes);
 //! * [`scenario::Driver`] — the graph-choice abstraction behind
 //!   [`Scenario`]: pattern replay, state-dependent topologies, and the
 //!   probing lower-bound adversaries all implement it;
@@ -55,12 +58,10 @@ mod executor;
 pub mod metric;
 pub mod pattern;
 pub mod scenario;
-mod sharded;
 mod trace;
 
 pub use diameter_trace::DiameterTrace;
-pub use executor::{Execution, LimitEstimate};
+pub use executor::{Execution, LimitEstimate, ShardedExecution, Values, DEFAULT_CHUNK};
 pub use metric::{BoxDiameter, HullDiameter, Metric};
 pub use scenario::{FaultyScenario, Scenario};
-pub use sharded::{ShardedExecution, DEFAULT_CHUNK};
 pub use trace::{estimate_rates, RateEstimate, Trace};

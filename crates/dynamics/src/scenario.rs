@@ -26,7 +26,7 @@
 //! diameter rather than any scalar projection.
 
 use consensus_algorithms::{Algorithm, Point};
-use consensus_digraph::{agents_in, AgentSet, Digraph};
+use consensus_digraph::{AgentSet, Digraph, WordSet};
 
 use crate::byzantine::ByzantineStrategy;
 use crate::metric::{HullDiameter, Metric};
@@ -151,11 +151,12 @@ pub struct Scenario<A: Algorithm<D>, Dr, const D: usize, M = HullDiameter> {
 
 impl<A: Algorithm<D>, const D: usize> Scenario<A, NoDriver, D> {
     /// Starts a scenario of `alg` from the given initial values, with
-    /// the default [`HullDiameter`] spread metric.
+    /// the default [`HullDiameter`] spread metric. Drivers emit dense
+    /// [`Digraph`]s, so a scenario has at most 64 agents.
     ///
     /// # Panics
     ///
-    /// Panics if `inits` is empty or has more than 64 agents.
+    /// Panics if `inits` is empty.
     #[must_use]
     pub fn new(alg: A, inits: &[Point<D>]) -> Self {
         Self::resume(Execution::new(alg, inits))
@@ -391,9 +392,11 @@ impl<A: Algorithm<1, Msg = Point<1>>, Dr> Scenario<A, Dr, 1> {
         byzantine: AgentSet,
         strategy: S,
     ) -> FaultyScenario<A, Dr, S> {
-        let n = self.exec.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        assert!(all & !byzantine != 0, "at least one honest agent required");
+        let byzantine = WordSet::from_mask(byzantine);
+        assert!(
+            (0..self.exec.n()).any(|i| !byzantine.contains(i)),
+            "at least one honest agent required"
+        );
         FaultyScenario {
             exec: self.exec,
             driver: self.driver,
@@ -413,7 +416,8 @@ impl<A: Algorithm<1, Msg = Point<1>>, Dr> Scenario<A, Dr, 1> {
 pub struct FaultyScenario<A: Algorithm<1, Msg = Point<1>>, Dr, S> {
     exec: Execution<A, 1>,
     driver: Dr,
-    byzantine: AgentSet,
+    /// The Byzantine agents, converted once from the caller's mask.
+    byzantine: WordSet,
     strategy: S,
     stop_below: Option<f64>,
     blocks: Vec<Digraph>,
@@ -425,22 +429,22 @@ where
     Dr: Driver<A, 1>,
     S: ByzantineStrategy,
 {
-    fn honest_outputs(exec: &Execution<A, 1>, byzantine: AgentSet) -> Vec<Point<1>> {
+    fn honest_outputs(exec: &Execution<A, 1>, byzantine: &WordSet) -> Vec<Point<1>> {
         exec.outputs_slice()
             .iter()
             .enumerate()
-            .filter(|&(i, _)| byzantine & (1u64 << i) == 0)
+            .filter(|&(i, _)| !byzantine.contains(i))
             .map(|(_, &p)| p)
             .collect()
     }
 
     /// The honest agents' value spread, computed without allocating
     /// (`Δ` over scalars is `max − min`).
-    fn honest_spread(exec: &Execution<A, 1>, byzantine: AgentSet) -> f64 {
+    fn honest_spread(exec: &Execution<A, 1>, byzantine: &WordSet) -> f64 {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for (i, p) in exec.outputs_slice().iter().enumerate() {
-            if byzantine & (1u64 << i) == 0 {
+            if !byzantine.contains(i) {
                 lo = lo.min(p[0]);
                 hi = hi.max(p[0]);
             }
@@ -449,7 +453,7 @@ where
     }
 
     fn drive(&mut self, max_rounds: usize, mut trace: Option<&mut Trace<1>>) -> usize {
-        let byz = self.byzantine;
+        let byz = &self.byzantine;
         let strategy = &mut self.strategy;
         drive_loop(
             &mut self.exec,
@@ -473,7 +477,7 @@ where
     /// a later `run`/[`FaultyScenario::advance`] picks up from the
     /// current configuration instead of recounting executed rounds.
     pub fn run(&mut self, max_rounds: usize) -> Trace<1> {
-        let mut trace = Trace::new(Self::honest_outputs(&self.exec, self.byzantine));
+        let mut trace = Trace::new(Self::honest_outputs(&self.exec, &self.byzantine));
         self.drive(max_rounds, Some(&mut trace));
         trace
     }
@@ -500,7 +504,7 @@ where
             .expect("decision_round requires .decide(eps)");
         let executed = usize::try_from(self.exec.round()).unwrap_or(usize::MAX);
         self.advance(max_rounds.saturating_sub(executed));
-        (Self::honest_spread(&self.exec, self.byzantine) <= eps).then(|| self.exec.round())
+        (Self::honest_spread(&self.exec, &self.byzantine) <= eps).then(|| self.exec.round())
     }
 
     /// The underlying execution (all agents, liars included).
@@ -512,9 +516,7 @@ where
     /// The honest agents, ascending (their outputs' order in the
     /// trace).
     pub fn honest_agents(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.exec.n();
-        let all: AgentSet = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        agents_in(all & !self.byzantine)
+        (0..self.exec.n()).filter(|&i| !self.byzantine.contains(i))
     }
 }
 

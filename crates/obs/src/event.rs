@@ -50,7 +50,7 @@ impl EventKind {
 ///   bit-identical at every thread count. The trace golden
 ///   (`ci/golden_trace.jsonl`) pins exactly this subset.
 /// * [`Class::Profile`] events depend on scheduling or the machine
-///   (per-worker task counts, steal counts, shard imbalance). They are
+///   (per-worker task counts, steal counts, cell durations). They are
 ///   excluded from the content JSONL and from fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Class {

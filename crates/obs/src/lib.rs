@@ -20,7 +20,7 @@
 //!   [`Class::Content`] events are pure functions of the computation
 //!   and merge bit-identically at every thread count (CI pins this
 //!   with `ci/golden_trace.jsonl`); [`Class::Profile`] events
-//!   (per-worker task/steal counts, shard imbalance) are
+//!   (per-worker task/steal counts, cell durations) are
 //!   scheduling-dependent and excluded from the content stream.
 //! * **Timing is a side-channel.** Wall-clock time enters only through
 //!   a caller-injected [`Clock`] — libraries default to [`NullClock`],

@@ -1,5 +1,5 @@
 //! Round-level executor telemetry: the [`RoundTelemetry`] observer the
-//! dense and sharded executors emit through.
+//! executor emits through.
 //!
 //! Where `DiameterTrace` retains a decimated tail of diameters for
 //! post-hoc plotting, `RoundTelemetry` emits the live convergence curve
@@ -92,8 +92,8 @@ impl RoundTelemetry {
         self.prev_diameter = Some(diameter);
     }
 
-    /// The underlying recorder, for extra observations (shard imbalance
-    /// profile gauges, run-level counters).
+    /// The underlying recorder, for extra observations (profile
+    /// gauges, run-level counters).
     pub fn recorder_mut(&mut self) -> &mut Recorder {
         &mut self.rec
     }

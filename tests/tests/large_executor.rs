@@ -1,9 +1,9 @@
-//! The large-`n` executor identity suite: the sharded SoA/CSR path
-//! must reproduce the dense reference **bit for bit** wherever both
-//! apply (`n ≤ 64`, any thread count, any chunk size), and must run
-//! correctly *past* the old silent `n ≤ 64` inbox cap — a 65+-agent
-//! scenario end-to-end, where the pre-`SenderSet` bitmask would have
-//! silently dropped agent 64's messages.
+//! The large-`n` executor suite: the chunked `Execution` must reproduce
+//! the serial dense run **bit for bit** on both topologies (`Digraph`
+//! masks and `CsrDigraph` rows, any thread count, any chunk size), and
+//! must run correctly *past* the old silent `n ≤ 64` inbox cap — a
+//! 65+-agent scenario end-to-end, where the pre-`SenderSet` bitmask
+//! would have silently dropped agent 64's messages.
 
 use tight_bounds_consensus::prelude::*;
 
@@ -30,45 +30,40 @@ fn scrambled_digraph(n: usize, salt: u64) -> Digraph {
     Digraph::from_in_masks(&masks).expect("n validated")
 }
 
-fn check_identity<K: ScalarKernel + Sync + Copy>(alg: K, n: usize, rounds: usize) {
+fn check_identity<A: Algorithm<1> + Copy>(alg: A, n: usize, rounds: usize) {
     let vals = inits(n);
-    let pts: Vec<Point<1>> = vals.iter().map(|&v| Point([v])).collect();
     let graphs: Vec<Digraph> = (0..rounds)
         .map(|r| scrambled_digraph(n, r as u64))
         .collect();
     let csrs: Vec<CsrDigraph> = graphs.iter().map(CsrDigraph::from_dense).collect();
 
-    let mut dense = Execution::new(alg, &pts);
+    let mut serial = Execution::new(alg, &vals);
     for g in &graphs {
-        dense.step(g);
+        serial.step(g);
     }
-    let reference: Vec<u64> = dense
-        .outputs_slice()
-        .iter()
-        .map(|p| p[0].to_bits())
-        .collect();
+    let reference: Vec<u64> = serial.values().map(f64::to_bits).collect();
 
     for (threads, chunk) in [(1, usize::MAX), (2, 3), (7, 16), (13, 1)] {
-        let mut soa = ShardedExecution::new(alg, &vals)
+        let mut mask = Execution::new(alg, &vals)
             .threads(threads)
             .chunk_size(chunk);
-        let mut csr = ShardedExecution::new(alg, &vals)
+        let mut csr = Execution::new(alg, &vals)
             .threads(threads)
             .chunk_size(chunk);
         for (g, c) in graphs.iter().zip(&csrs) {
-            soa.step(g);
+            mask.step(g);
             csr.step(c);
         }
-        for (i, &expect) in reference.iter().enumerate() {
+        for (i, (m, c)) in mask.values().zip(csr.values()).enumerate() {
             assert_eq!(
-                expect,
-                soa.values()[i].to_bits(),
-                "SoA/dense-graph path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
+                reference[i],
+                m.to_bits(),
+                "chunked mask path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
             );
             assert_eq!(
-                expect,
-                csr.values()[i].to_bits(),
-                "SoA/CSR path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
+                reference[i],
+                c.to_bits(),
+                "chunked CSR path diverged: n={n} agent {i} threads={threads} chunk={chunk}"
             );
         }
     }
@@ -95,6 +90,16 @@ fn sharded_is_bit_identical_to_dense_self_weighted() {
     }
 }
 
+#[test]
+fn sharded_is_bit_identical_to_dense_stateful_rules() {
+    // Tuple messages and non-`Point` states, which only the one generic
+    // executor can chunk.
+    for n in [7, 64] {
+        check_identity(AmortizedMidpoint::new(3), n, 12);
+        check_identity(TrimmedMean::new(1), n, 12);
+    }
+}
+
 /// The headline regression: 65 agents end-to-end. On the complete
 /// graph every agent hears all 65 values, so one midpoint round
 /// reaches exact consensus at `(lo + hi) * 0.5` — a value that
@@ -114,7 +119,7 @@ fn sixty_five_agents_reach_exact_midpoint_consensus() {
     let expect = (lo + hi) * 0.5;
 
     let g = CsrDigraph::complete(n);
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(4);
+    let mut e = Execution::new(Midpoint, &vals).threads(4);
     e.step(&g);
     assert_eq!(e.round(), 1);
     assert_eq!(
@@ -122,7 +127,7 @@ fn sixty_five_agents_reach_exact_midpoint_consensus() {
         0.0,
         "complete graph agrees in one round"
     );
-    for (i, &v) in e.values().iter().enumerate() {
+    for (i, v) in e.values().enumerate() {
         assert_eq!(
             v.to_bits(),
             expect.to_bits(),
@@ -150,7 +155,7 @@ fn large_sparse_scenario_converges_end_to_end() {
         });
     let g = CsrDigraph::ring_lattice(n, 6);
     assert!(g.is_strongly_connected());
-    let mut e = ShardedExecution::new(Midpoint, &vals).threads(4);
+    let mut e = Execution::new(Midpoint, &vals).threads(4);
     let mut trace = DiameterTrace::new(e.value_diameter())
         .decimated(10)
         .ring(64);
@@ -171,7 +176,7 @@ fn large_sparse_scenario_converges_end_to_end() {
         trace.final_diameter().to_bits(),
         e.value_diameter().to_bits()
     );
-    for &v in e.values() {
+    for v in e.values() {
         assert!(
             v >= lo0 - 1e-12 && v <= hi0 + 1e-12,
             "validity: {v} escaped the initial interval [{lo0}, {hi0}]"
@@ -194,7 +199,7 @@ fn byzantine_agent_past_the_cap_is_survivable() {
     let g = CsrDigraph::complete(n);
     let mut byz = WordSet::with_capacity(n);
     byz.insert(64);
-    let mut e = ShardedExecution::new(SelfWeightedAverage::new(0.5), &vals).threads(3);
+    let mut e = Execution::new(SelfWeightedAverage::new(0.5), &vals).threads(3);
     let mut strategy = |round: u64, from: usize, to: usize| {
         debug_assert_eq!(from, 64);
         if (round + to as u64).is_multiple_of(2) {
@@ -206,7 +211,7 @@ fn byzantine_agent_past_the_cap_is_survivable() {
     for _ in 0..200 {
         e.step_with_faults(&g, &byz, &mut strategy);
     }
-    let honest: Vec<f64> = e.values()[..64].to_vec();
+    let honest: Vec<f64> = e.values().take(64).collect();
     let spread = honest.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v))
         - honest.iter().fold(f64::INFINITY, |m, &v| m.min(v));
     // A single liar among 64 honest in-neighbors can keep the honest
@@ -220,5 +225,9 @@ fn byzantine_agent_past_the_cap_is_survivable() {
         honest.iter().all(|&v| (-0.55..=0.55).contains(&v)),
         "honest values stay near the honest/forged range"
     );
-    assert_eq!(e.values()[64], vals[64], "the liar's own state is frozen");
+    assert_eq!(
+        e.values().last(),
+        Some(vals[64]),
+        "the liar's own state is frozen"
+    );
 }

@@ -2,8 +2,8 @@
 //! counts and chunk sizes must never change a single output bit.
 //!
 //! The determinism contract (see the README) says parallelism in this
-//! workspace is an *implementation detail*: `ShardedExecution`, the
-//! `Sweep` harness, and the raw pool primitives all promise results
+//! workspace is an *implementation detail*: the chunked `Execution`,
+//! the `Sweep` harness, and the raw pool primitives all promise results
 //! bit-identical to their single-thread baselines at every worker
 //! count and chunk granularity. The existing suites pin a few
 //! hand-picked configurations; this one fuzzes the schedule space with
@@ -20,22 +20,25 @@ fn random_inits(n: usize, rng: &mut StdRng) -> Vec<f64> {
 }
 
 /// Runs `alg` for `rounds` on `csr` under one (threads, chunk) config
-/// and returns the final value bits.
-fn run_sharded<K: ScalarKernel + Sync + Copy>(
-    alg: K,
-    vals: &[f64],
+/// and returns the bits of every final output coordinate.
+fn run_sharded<A: Algorithm<D> + Copy, const D: usize>(
+    alg: A,
+    inits: &[Point<D>],
     csr: &CsrDigraph,
     rounds: usize,
     threads: usize,
     chunk: usize,
 ) -> Vec<u64> {
-    let mut e = ShardedExecution::new(alg, vals)
+    let mut e = Execution::new(alg, inits)
         .threads(threads)
         .chunk_size(chunk);
     for _ in 0..rounds {
         e.step(csr);
     }
-    e.values().iter().map(|v| v.to_bits()).collect()
+    e.outputs_slice()
+        .iter()
+        .flat_map(|p| p.0.map(f64::to_bits))
+        .collect()
 }
 
 #[test]
@@ -47,24 +50,52 @@ fn sharded_execution_is_schedule_independent_under_random_configs() {
         let rounds = rng.random_range(3usize..=12);
         let vals = random_inits(n, &mut rng);
         let csr = CsrDigraph::ring_lattice(n, degree);
+        let scalars: Vec<Point<1>> = vals.iter().map(|&v| Point([v])).collect();
+        // Planar points pair each value with its mirror-image neighbour.
+        let planar: Vec<Point<2>> = (0..n).map(|i| Point([vals[i], vals[n - 1 - i]])).collect();
+        // Tuple messages and a non-`Point` state; a short macro-round so
+        // the outputs move within the horizon.
+        let amortized = AmortizedMidpoint::new(rng.random_range(2usize..=4));
 
-        let base_mid = run_sharded(Midpoint, &vals, &csr, rounds, 1, n);
-        let base_mean = run_sharded(MeanValue, &vals, &csr, rounds, 1, n);
+        let run_all = |threads: usize, chunk: usize| {
+            [
+                (
+                    "Midpoint",
+                    run_sharded(Midpoint, &scalars, &csr, rounds, threads, chunk),
+                ),
+                (
+                    "MeanValue",
+                    run_sharded(MeanValue, &scalars, &csr, rounds, threads, chunk),
+                ),
+                (
+                    "AmortizedMidpoint",
+                    run_sharded(amortized, &scalars, &csr, rounds, threads, chunk),
+                ),
+                (
+                    "MidpointCoordinatewise<2>",
+                    run_sharded(
+                        MidpointCoordinatewise,
+                        &planar,
+                        &csr,
+                        rounds,
+                        threads,
+                        chunk,
+                    ),
+                ),
+            ]
+        };
+        let base = run_all(1, n);
         for _ in 0..4 {
             let threads = rng.random_range(2usize..=16);
             // Deliberately include degenerate shapes: chunk of 1 and
             // chunks larger than the agent count.
             let chunk = rng.random_range(1usize..=2 * n);
-            assert_eq!(
-                base_mid,
-                run_sharded(Midpoint, &vals, &csr, rounds, threads, chunk),
-                "trial {trial}: Midpoint diverged at threads={threads} chunk={chunk}"
-            );
-            assert_eq!(
-                base_mean,
-                run_sharded(MeanValue, &vals, &csr, rounds, threads, chunk),
-                "trial {trial}: MeanValue diverged at threads={threads} chunk={chunk}"
-            );
+            for ((name, want), (_, got)) in base.iter().zip(run_all(threads, chunk)) {
+                assert_eq!(
+                    want, &got,
+                    "trial {trial}: {name} diverged at threads={threads} chunk={chunk}"
+                );
+            }
         }
     }
 }
@@ -79,13 +110,11 @@ fn cell_digest(steps: u64, ctx: CellCtx) -> u64 {
     let csr = CsrDigraph::ring_lattice(n, 1);
     // Each cell itself shards internally — nested parallelism is part
     // of the contract, not an exception to it.
-    let mut e = ShardedExecution::new(Midpoint, &vals)
-        .threads(2)
-        .chunk_size(3);
+    let mut e = Execution::new(Midpoint, &vals).threads(2).chunk_size(3);
     for _ in 0..steps {
         e.step(&csr);
     }
-    e.values().iter().fold(ctx.seed, |acc, v| {
+    e.values().fold(ctx.seed, |acc, v| {
         acc.wrapping_mul(0x100_0000_01B3).wrapping_add(v.to_bits())
     })
 }
