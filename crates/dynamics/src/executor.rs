@@ -524,6 +524,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "graph size")]
+    fn csr_size_mismatch_panics() {
+        let mut e = Execution::new(Midpoint, &[0.0, 1.0]);
+        e.step(&CsrDigraph::ring_lattice(3, 1));
+    }
+
+    #[test]
     fn observed_step_is_bit_identical_and_emits_the_curve() {
         use consensus_obs::{lane, RoundTelemetry, TraceHandle};
         let g = Digraph::complete(3).make_deaf(0);
