@@ -384,35 +384,77 @@ impl Digraph {
     #[must_use]
     pub fn reachable_from(&self, i: Agent) -> AgentSet {
         assert!(i < self.n, "agent {i} out of range");
-        // Iterate out-neighborhood expansion to a fixpoint. Out-masks are
-        // recomputed once into a scratch table for word-parallel expansion.
-        let outs: Vec<AgentSet> = (0..self.n).map(|k| self.out_mask(k)).collect();
+        self.closure(i, full_mask(self.n))
+    }
+
+    /// The agents reachable from `i` along paths inside `allowed`
+    /// (`i` included), without building out-masks: each sweep over the
+    /// unreached allowed agents adds every agent that hears a reached
+    /// one, in ascending order, so one sweep can extend a path by many
+    /// hops. Each sweep but the last adds an agent, so the cost is
+    /// O(n²) word operations at worst and a sweep or two on dense
+    /// graphs.
+    fn closure(&self, i: Agent, allowed: AgentSet) -> AgentSet {
         let mut reach = 1u64 << i;
         loop {
-            let mut next = reach;
-            for k in BitIter(reach) {
-                next |= outs[k];
+            let before = reach;
+            for j in BitIter(allowed & !reach) {
+                if self.in_masks[j] & reach != 0 {
+                    reach |= 1u64 << j;
+                }
             }
-            if next == reach {
+            if reach == before {
                 return reach;
             }
-            reach = next;
         }
+    }
+
+    /// An agent that is a root whenever the graph is rooted (the
+    /// mother-vertex scan), or `None` when the graph has no root.
+    ///
+    /// Closures are taken from successive unvisited agents, each
+    /// confined to the agents not visited before it, so every agent is
+    /// swept into exactly one of them. No edge ever leaves the visited
+    /// set, so if a root exists, the closure that first visits it
+    /// visits everything left and is the last one; its start reaches
+    /// the root and is therefore a root too. One unconfined closure
+    /// from that start decides.
+    fn root_candidate(&self) -> Option<Agent> {
+        let all = full_mask(self.n);
+        let mut visited = 0u64;
+        let mut last = 0;
+        while visited != all {
+            last = (!visited).trailing_zeros() as usize;
+            let reach = self.closure(last, all & !visited);
+            if visited == 0 && reach == all {
+                return Some(last);
+            }
+            visited |= reach;
+        }
+        (self.closure(last, all) == all).then_some(last)
     }
 
     /// The root set `R(G)`: agents that have a directed path to **all**
     /// agents (paper §7). A graph is *rooted* iff `R(G) ≠ ∅`.
+    ///
+    /// Every agent that reaches a root is a root, and every root
+    /// reaches every other, so `R(G)` is the set of agents with a path
+    /// to the one root [`Digraph::is_rooted`]'s scan finds: a backward
+    /// closure over the in-masks.
     #[must_use]
     pub fn roots(&self) -> AgentSet {
-        let all = full_mask(self.n);
-        // An agent r is a root iff everything is backward-reachable from
-        // every node... simplest: forward reachability from each agent.
-        // n ≤ 64 keeps this cheap; memoize nothing.
-        let mut roots = 0u64;
-        for i in 0..self.n {
-            if self.reachable_from(i) == all {
-                roots |= 1u64 << i;
+        let Some(r) = self.root_candidate() else {
+            return 0;
+        };
+        let mut roots = 1u64 << r;
+        let mut frontier = roots;
+        while frontier != 0 {
+            let mut heard = 0u64;
+            for k in BitIter(frontier) {
+                heard |= self.in_masks[k];
             }
+            frontier = heard & !roots;
+            roots |= heard;
         }
         roots
     }
@@ -421,11 +463,13 @@ impl Digraph {
     ///
     /// Theorem 1 of the paper (due to Charron-Bost et al. \[8\]): asymptotic
     /// consensus is solvable in a network model iff every graph is rooted.
+    ///
+    /// Allocation-free: a mother-vertex scan that visits every agent
+    /// once, then one closure from the surviving candidate; a single
+    /// closure when agent 0 is already a root.
     #[must_use]
     pub fn is_rooted(&self) -> bool {
-        // Cheaper than computing all roots: check the condensation has a
-        // unique source component. For n ≤ 64 the direct check is fine.
-        self.roots() != 0
+        self.root_candidate().is_some()
     }
 
     /// Whether the graph is *non-split*: any two agents have a common

@@ -2,7 +2,7 @@
 //! parallelism.
 
 use consensus_algorithms::{diameter, Algorithm, Inbox, Point};
-use consensus_digraph::{RoundTopology, WordSet};
+use consensus_digraph::{RoundTopology, SenderSet, WordSet};
 
 use crate::byzantine::ByzantineStrategy;
 use crate::pattern::PatternSource;
@@ -153,6 +153,49 @@ impl<A: Algorithm<D>, const D: usize> Execution<A, D> {
     #[must_use]
     pub fn state(&self, agent: usize) -> &A::State {
         &self.states[agent]
+    }
+
+    /// The message slate the next round gathers: entry `j` is agent
+    /// `j`'s broadcast. Read-only lookahead
+    /// ([`Execution::next_output`], [`Execution::next_outputs`]) reads
+    /// it.
+    #[must_use]
+    pub fn message_slate(&self) -> Vec<A::Msg> {
+        self.states.iter().map(|s| self.alg.message(s)).collect()
+    }
+
+    /// Agent `i`'s output after the next round if it hears exactly
+    /// `senders`, with `msgs` the [`Execution::message_slate`]. The
+    /// execution is untouched: a copy of the agent's state takes the
+    /// same transition [`Execution::step`] applies, so the value is
+    /// bit-identical to the one a real step would cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ n`.
+    #[must_use]
+    pub fn next_output(&self, i: usize, senders: SenderSet<'_>, msgs: &[A::Msg]) -> Point<D> {
+        let mut state = self.states[i].clone();
+        self.alg.step(
+            i,
+            &mut state,
+            Inbox::from_senders(senders, msgs),
+            self.round + 1,
+        );
+        self.alg.output(&state)
+    }
+
+    /// Writes into `out` the outputs `y(t+1)` that [`Execution::step`]
+    /// with topology `g` would produce, without stepping (one
+    /// [`Execution::next_output`] per agent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g.n() != self.n()`.
+    pub fn next_outputs<G: RoundTopology>(&self, g: &G, msgs: &[A::Msg], out: &mut Vec<Point<D>>) {
+        assert_eq!(g.n(), self.n(), "graph size must match agent count");
+        out.clear();
+        out.extend((0..self.n()).map(|i| self.next_output(i, g.sender_set(i), msgs)));
     }
 
     /// Executes one round with topology `g`: gather all messages once
@@ -528,6 +571,66 @@ mod tests {
     fn csr_size_mismatch_panics() {
         let mut e = Execution::new(Midpoint, &[0.0, 1.0]);
         e.step(&CsrDigraph::ring_lattice(3, 1));
+    }
+
+    #[test]
+    fn lookahead_matches_a_real_step_and_leaves_the_execution_alone() {
+        use consensus_algorithms::AmortizedMidpoint;
+        let n = 7;
+        let ring = Digraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap();
+        let mut e = Execution::new(AmortizedMidpoint::new(3), &pts(&inits(n)));
+        // Off round 0, so the round-dependent transition is exercised.
+        e.step(&ring);
+        for g in [Digraph::complete(n).make_deaf(2), ring.clone()] {
+            let before: Vec<u64> = bits(&e);
+            let msgs = e.message_slate();
+            let mut next = Vec::new();
+            e.next_outputs(&g, &msgs, &mut next);
+            assert_eq!(bits(&e), before, "lookahead must not step");
+            assert_eq!(e.round(), 1);
+            let mut stepped = e.clone();
+            stepped.step(&g);
+            let want: Vec<u64> = bits(&stepped);
+            let got: Vec<u64> = next.iter().map(|p| p[0].to_bits()).collect();
+            assert_eq!(got, want);
+            for (i, &w) in want.iter().enumerate() {
+                assert_eq!(e.next_output(i, g.sender_set(i), &msgs)[0].to_bits(), w);
+            }
+        }
+    }
+
+    /// Outputs the round number it last stepped in, plus its sender
+    /// count: no built-in algorithm reads `round`, this one does.
+    #[derive(Clone, Debug)]
+    struct RoundStamp;
+
+    impl Algorithm<1> for RoundStamp {
+        type State = Point<1>;
+        type Msg = ();
+        fn name(&self) -> std::borrow::Cow<'static, str> {
+            "round-stamp".into()
+        }
+        fn init(&self, _agent: usize, y0: Point<1>) -> Point<1> {
+            y0
+        }
+        fn message(&self, _state: &Point<1>) {}
+        fn step(&self, _agent: usize, state: &mut Point<1>, inbox: Inbox<'_, ()>, round: u64) {
+            *state = Point([round as f64 + inbox.len() as f64 / 100.0]);
+        }
+        fn output(&self, state: &Point<1>) -> Point<1> {
+            *state
+        }
+    }
+
+    #[test]
+    fn lookahead_steps_in_the_next_round() {
+        let g = Digraph::complete(4).make_deaf(1);
+        let mut e = Execution::new(RoundStamp, &pts(&[0.0; 4]));
+        e.step(&g);
+        e.step(&g);
+        let mut next = Vec::new();
+        e.next_outputs(&g, &e.message_slate(), &mut next);
+        assert_eq!(next, pts(&[3.04, 3.01, 3.04, 3.04]));
     }
 
     #[test]

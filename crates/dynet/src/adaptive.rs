@@ -7,11 +7,14 @@ use consensus_digraph::{enumerate, families, Digraph};
 use consensus_dynamics::scenario::Driver;
 use consensus_dynamics::Execution;
 
-/// An **adaptive** [`Driver`]: each round it forks the live execution
-/// once per candidate graph, applies one round, and commits the
-/// candidate whose successor configuration has the **largest** value
-/// diameter — a greedy one-step-lookahead adversary in the spirit of
-/// the valency probes (but measuring `Δ(y)` instead of valencies).
+use crate::lookahead::Lookahead;
+
+/// An **adaptive** [`Driver`]: each round it scores every candidate
+/// graph by the value diameter the live execution would have one round
+/// later (read off by [`Lookahead`], without stepping the execution) and
+/// commits the candidate with the **largest** one — a greedy
+/// one-step-lookahead adversary in the spirit of the valency probes
+/// (but measuring `Δ(y)` instead of valencies).
 ///
 /// Unlike the seeded schedule adversaries, this driver is *value-aware*:
 /// its choices depend on the execution it is attacking, so different
@@ -27,7 +30,7 @@ use consensus_dynamics::Execution;
 #[derive(Debug, Clone)]
 pub struct DiameterMaximiser {
     candidates: Vec<Digraph>,
-    fork_threads: usize,
+    threads: usize,
 }
 
 impl DiameterMaximiser {
@@ -46,11 +49,11 @@ impl DiameterMaximiser {
         );
         DiameterMaximiser {
             candidates,
-            fork_threads: 1,
+            threads: 1,
         }
     }
 
-    /// Dispatches the per-round candidate forks onto `threads` pool
+    /// Dispatches the per-round candidate scoring onto `threads` pool
     /// workers (`0` means [`consensus_pool::default_threads`]; the
     /// default `1` evaluates candidates serially in the caller's
     /// thread). Scores are reduced back **in candidate index order**
@@ -59,7 +62,7 @@ impl DiameterMaximiser {
     /// at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -108,23 +111,14 @@ impl DiameterMaximiser {
 
 impl<A, const D: usize> Driver<A, D> for DiameterMaximiser
 where
-    A: Algorithm<D> + Clone + Sync,
+    A: Algorithm<D>,
     A::State: Sync,
     A::Msg: Sync,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
-        let score = |i: usize| {
-            let mut fork = exec.clone();
-            fork.step(&self.candidates[i]);
-            fork.value_diameter()
-        };
-        let diameters: Vec<f64> = if self.fork_threads > 1 {
-            consensus_pool::run_indexed(self.candidates.len(), self.fork_threads, score)
-        } else {
-            (0..self.candidates.len()).map(score).collect()
-        };
+        let diameters = Lookahead::new(exec, self.threads).score(&self.candidates);
         let (best, d) = det_argmax(diameters).expect("at least one candidate");
-        debug_assert!(
+        assert!(
             !d.is_nan(),
             "candidate {best} produced a NaN value diameter"
         );
@@ -133,7 +127,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use consensus_algorithms::{MeanValue, Midpoint, Point};
     use consensus_dynamics::Scenario;
@@ -229,7 +223,7 @@ mod tests {
     /// skipped (NaN fails every `>`, so the corrupted fork could never
     /// win and the corruption went unnoticed).
     #[derive(Clone, Debug)]
-    struct Poisoned;
+    pub(crate) struct Poisoned;
 
     impl Algorithm<1> for Poisoned {
         type State = Point<1>;

@@ -32,6 +32,8 @@ use consensus_digraph::{enumerate, families, Digraph};
 use consensus_dynamics::scenario::Driver;
 use consensus_dynamics::Execution;
 
+use crate::lookahead::{Lookahead, Parent};
+
 /// splitmix64 step — the same mixer `consensus_sweep::cell_seed` uses,
 /// kept local so the beam's mutation stream needs no extra dependency
 /// surface.
@@ -57,46 +59,22 @@ fn ranks_better(a_score: f64, a: &Digraph, b_score: f64, b: &Digraph) -> bool {
     }
 }
 
-/// Scores `candidates` by one-step lookahead: fork the execution, apply
-/// the candidate for one round, measure the value diameter. Pooled when
-/// `threads > 1`; scores come back in candidate index order either way,
-/// so the downstream argmax is thread-count invariant.
-fn score_candidates<A, const D: usize>(
-    candidates: &[Digraph],
-    exec: &Execution<A, D>,
-    threads: usize,
-) -> Vec<f64>
-where
-    A: Algorithm<D> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
-{
-    let score = |i: usize| {
-        let mut fork = exec.clone();
-        fork.step(&candidates[i]);
-        fork.value_diameter()
-    };
-    if threads > 1 {
-        consensus_pool::run_indexed(candidates.len(), threads, score)
-    } else {
-        (0..candidates.len()).map(score).collect()
-    }
-}
-
 /// The committed argmax over scored graphs under the canonical
 /// comparator; `None` on an empty list.
-fn commit_best(scored: &[(Digraph, f64)]) -> Option<(Digraph, f64)> {
-    let mut best: Option<&(Digraph, f64)> = None;
-    for cand in scored {
+fn commit_best<'a>(
+    scored: impl IntoIterator<Item = (&'a Digraph, f64)>,
+) -> Option<(&'a Digraph, f64)> {
+    let mut best: Option<(&Digraph, f64)> = None;
+    for (g, s) in scored {
         let better = match best {
             None => true,
-            Some(b) => ranks_better(cand.1, &cand.0, b.1, &b.0),
+            Some((b, bs)) => ranks_better(s, g, bs, b),
         };
         if better {
-            best = Some(cand);
+            best = Some((g, s));
         }
     }
-    best.cloned()
+    best
 }
 
 /// A value-aware adaptive adversary over the rooted-graph class, driven
@@ -108,10 +86,11 @@ fn commit_best(scored: &[(Digraph, f64)]) -> Option<(Digraph, f64)> {
 /// 1. seeds the frontier with the deaf family `deaf(K_n)`, the clique
 ///    `K_n`, and the graph committed in the previous round;
 /// 2. runs `depth` expansion waves: every frontier graph spawns all of
-///    its rooted single-edge toggles plus `mutations` splitmix64-seeded
-///    multi-edge mutants, fresh candidates are scored (pool-parallel
-///    with [`BeamSearch::threads`] > 1), and the `width` best scored
-///    graphs survive as the next frontier;
+///    its rooted single-edge toggles (the first time it is expanded)
+///    plus `mutations` splitmix64-seeded multi-edge mutants, fresh
+///    candidates are scored by [`Lookahead`] as patches of their parent
+///    (pool-parallel with [`BeamSearch::threads`] > 1), and the `width`
+///    best scored graphs survive as the next frontier;
 /// 3. commits the best graph seen overall (canonical comparator:
 ///    score descending, then smaller graph).
 ///
@@ -127,7 +106,7 @@ pub struct BeamSearch {
     depth: usize,
     mutations: usize,
     seed: u64,
-    fork_threads: usize,
+    threads: usize,
     committed: Option<Digraph>,
     round: u64,
     trace: consensus_obs::TraceHandle,
@@ -150,7 +129,7 @@ impl BeamSearch {
             depth: 2,
             mutations: 4,
             seed,
-            fork_threads: 1,
+            threads: 1,
             committed: None,
             round: 0,
             trace: consensus_obs::TraceHandle::disabled(),
@@ -206,7 +185,7 @@ impl BeamSearch {
     /// every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -220,9 +199,10 @@ impl BeamSearch {
         self.n
     }
 
-    /// All rooted single-edge toggles of `g`, in deterministic
-    /// `(from, to)` order.
-    fn toggle_neighbours(g: &Digraph, out: &mut Vec<Digraph>) {
+    /// Appends to `out` every rooted single-edge toggle of the rooted
+    /// graph `g` that is not yet in `visited` (recording it there), in
+    /// deterministic `(from, to)` order.
+    fn toggle_neighbours(g: &Digraph, visited: &mut BTreeSet<Digraph>, out: &mut Vec<Digraph>) {
         let n = g.n();
         for from in 0..n {
             for to in 0..n {
@@ -230,12 +210,16 @@ impl BeamSearch {
                     continue;
                 }
                 let mut h = g.clone();
-                if h.has_edge(from, to) {
-                    h.remove_edge(from, to);
-                } else {
+                let adding = !h.has_edge(from, to);
+                if adding {
                     h.add_edge(from, to);
+                } else {
+                    h.remove_edge(from, to);
                 }
-                if h.is_rooted() {
+                // Adding an edge keeps every path, so the supergraph of
+                // a rooted graph is rooted: only removals need the check.
+                debug_assert!(!adding || h.is_rooted(), "edge addition unrooted {g}");
+                if (adding || h.is_rooted()) && visited.insert(h.clone()) {
                     out.push(h);
                 }
             }
@@ -243,8 +227,15 @@ impl BeamSearch {
     }
 
     /// `count` random multi-edge mutants of `g` drawn from the
-    /// splitmix64 stream; only rooted mutants are emitted.
-    fn mutate(g: &Digraph, count: usize, rng: &mut u64, out: &mut Vec<Digraph>) {
+    /// splitmix64 stream; the rooted ones not yet in `visited` are
+    /// recorded there and appended to `out`.
+    fn mutate(
+        g: &Digraph,
+        count: usize,
+        rng: &mut u64,
+        visited: &mut BTreeSet<Digraph>,
+        out: &mut Vec<Digraph>,
+    ) {
         let n = g.n();
         for _ in 0..count {
             let mut h = g.clone();
@@ -263,22 +254,29 @@ impl BeamSearch {
                     h.add_edge(from, to);
                 }
             }
-            if h.is_rooted() {
+            if h.is_rooted() && visited.insert(h.clone()) {
                 out.push(h);
             }
         }
     }
 
-    /// One full beam search against the configuration in `exec`;
-    /// returns the committed graph and its one-step score.
-    /// One full beam search; the third component is the number of
-    /// candidate graphs scored (for telemetry).
+    /// One full beam search against the configuration in `exec`:
+    /// returns the committed graph, its one-step score, and the number
+    /// of candidate graphs scored (for telemetry).
+    ///
+    /// A frontier graph spawns its single-edge toggles only the first
+    /// time it is expanded: on later waves they are all in `visited`
+    /// already. Its mutants are drawn on every wave, so the splitmix64
+    /// stream is the same as if everything were re-expanded. Each
+    /// parent is stepped once per wave and its children are scored as
+    /// patches of it.
     fn search<A, const D: usize>(&self, exec: &Execution<A, D>) -> (Digraph, f64, u64)
     where
-        A: Algorithm<D> + Clone + Sync,
+        A: Algorithm<D>,
         A::State: Sync,
         A::Msg: Sync,
     {
+        let look = Lookahead::new(exec, self.threads);
         // Deterministic seed frontier: the Theorem-2 deaf family, the
         // clique, and the previous round's committed graph (warm start).
         let mut seeds: Vec<Digraph> = families::deaf_family(&Digraph::complete(self.n));
@@ -289,45 +287,80 @@ impl BeamSearch {
         let mut visited: BTreeSet<Digraph> = BTreeSet::new();
         seeds.retain(|g| visited.insert(g.clone()));
 
-        let scores = score_candidates(&seeds, exec, self.fork_threads);
+        let scores = look.score(&seeds);
         let mut scored_count = seeds.len() as u64;
-        let mut frontier: Vec<(Digraph, f64)> = seeds.into_iter().zip(scores).collect();
-        let mut best = commit_best(&frontier).expect("seed frontier is non-empty");
+        let mut frontier: Vec<Entry> = seeds
+            .into_iter()
+            .zip(scores)
+            .map(|(graph, score)| Entry {
+                graph,
+                score,
+                expanded: false,
+            })
+            .collect();
+        let (g, s) = commit_best(frontier.iter().map(|e| (&e.graph, e.score)))
+            .expect("seed frontier is non-empty");
+        let mut best = (g.clone(), s);
 
         // The mutation stream depends only on (seed, round): replays and
         // thread counts cannot perturb it.
         let mut rng = self.seed ^ self.round.wrapping_mul(0xA076_1D64_78BD_642F);
 
         for _ in 0..self.depth {
-            frontier.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            frontier.sort_by(|a, b| {
+                b.score
+                    .total_cmp(&a.score)
+                    .then_with(|| a.graph.cmp(&b.graph))
+            });
             frontier.truncate(self.width);
 
             let mut fresh: Vec<Digraph> = Vec::new();
-            for (g, _) in &frontier {
-                Self::toggle_neighbours(g, &mut fresh);
-                Self::mutate(g, self.mutations, &mut rng, &mut fresh);
+            let mut parents: Vec<Parent<D>> = Vec::new();
+            let mut parent_of: Vec<usize> = Vec::new();
+            for e in &mut frontier {
+                let before = fresh.len();
+                if !e.expanded {
+                    Self::toggle_neighbours(&e.graph, &mut visited, &mut fresh);
+                    e.expanded = true;
+                }
+                Self::mutate(&e.graph, self.mutations, &mut rng, &mut visited, &mut fresh);
+                if fresh.len() > before {
+                    parent_of.resize(fresh.len(), parents.len());
+                    parents.push(look.parent(&e.graph));
+                }
             }
-            fresh.retain(|g| visited.insert(g.clone()));
             if fresh.is_empty() {
                 break;
             }
 
-            let scores = score_candidates(&fresh, exec, self.fork_threads);
+            let scores = look.score_children(&fresh, &parents, &parent_of);
             scored_count += fresh.len() as u64;
-            for (g, s) in fresh.into_iter().zip(scores) {
-                if ranks_better(s, &g, best.1, &best.0) {
-                    best = (g.clone(), s);
+            for (graph, score) in fresh.into_iter().zip(scores) {
+                if ranks_better(score, &graph, best.1, &best.0) {
+                    best = (graph.clone(), score);
                 }
-                frontier.push((g, s));
+                frontier.push(Entry {
+                    graph,
+                    score,
+                    expanded: false,
+                });
             }
         }
         (best.0, best.1, scored_count)
     }
 }
 
+/// A scored frontier graph; `expanded` records whether its single-edge
+/// toggles were already generated this round.
+struct Entry {
+    graph: Digraph,
+    score: f64,
+    expanded: bool,
+}
+
 impl<A, const D: usize> Driver<A, D> for BeamSearch
 where
-    A: Algorithm<D> + Clone + Sync,
+    A: Algorithm<D>,
     A::State: Sync,
     A::Msg: Sync,
 {
@@ -339,7 +372,7 @@ where
             r.span_begin("beam_generation", self.round);
         }
         let (g, d, scored) = self.search(exec);
-        debug_assert!(!d.is_nan(), "beam candidate produced a NaN value diameter");
+        assert!(!d.is_nan(), "committed graph {g} has a NaN value diameter");
         if let Some(mut r) = rec {
             r.counter("beam_candidates", self.round, scored);
             r.gauge("beam_best", self.round, d);
@@ -364,7 +397,7 @@ where
 #[derive(Debug, Clone)]
 pub struct ExhaustiveRooted {
     candidates: Vec<Digraph>,
-    fork_threads: usize,
+    threads: usize,
 }
 
 impl ExhaustiveRooted {
@@ -381,7 +414,7 @@ impl ExhaustiveRooted {
         );
         ExhaustiveRooted {
             candidates: enumerate::rooted_graphs(n).collect(),
-            fork_threads: 1,
+            threads: 1,
         }
     }
 
@@ -390,7 +423,7 @@ impl ExhaustiveRooted {
     /// invariant.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.fork_threads = if threads == 0 {
+        self.threads = if threads == 0 {
             consensus_pool::default_threads()
         } else {
             threads
@@ -407,25 +440,16 @@ impl ExhaustiveRooted {
 
 impl<A, const D: usize> Driver<A, D> for ExhaustiveRooted
 where
-    A: Algorithm<D> + Clone + Sync,
+    A: Algorithm<D>,
     A::State: Sync,
     A::Msg: Sync,
 {
     fn next_block(&mut self, exec: &Execution<A, D>, out: &mut Vec<Digraph>) {
-        let scores = score_candidates(&self.candidates, exec, self.fork_threads);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &s) in scores.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some((bi, bs)) => ranks_better(s, &self.candidates[i], bs, &self.candidates[bi]),
-            };
-            if better {
-                best = Some((i, s));
-            }
-        }
-        let (i, d) = best.expect("rooted class is non-empty");
-        debug_assert!(!d.is_nan(), "candidate {i} produced a NaN value diameter");
-        out.push(self.candidates[i].clone());
+        let scores = Lookahead::new(exec, self.threads).score(&self.candidates);
+        let (g, d) =
+            commit_best(self.candidates.iter().zip(scores)).expect("rooted class is non-empty");
+        assert!(!d.is_nan(), "committed graph {g} has a NaN value diameter");
+        out.push(g.clone());
     }
 }
 
@@ -536,6 +560,88 @@ mod tests {
         assert_eq!(t4.merged().content(), s1.content());
     }
 
+    /// Runs a traced `MeanValue` beam from the spread for `rounds`
+    /// rounds: the per-round `beam_candidates` counters, the committed
+    /// scores' bits (`beam_best`) and the final outputs' bits.
+    fn schedule_bits(beam: BeamSearch, rounds: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let n = beam.n();
+        let trace = consensus_obs::TraceHandle::enabled();
+        let mut sc = Scenario::new(MeanValue, &spread(n)).adversary(beam.trace(trace.clone(), 0));
+        sc.advance(rounds);
+        let stream = trace.merged();
+        let counts = stream
+            .events
+            .iter()
+            .filter(|e| e.event.name == "beam_candidates")
+            .map(|e| e.event.value)
+            .collect();
+        let best = stream
+            .gauge_values("beam_best")
+            .iter()
+            .map(|d| d.to_bits())
+            .collect();
+        (
+            counts,
+            best,
+            sc.execution().values().map(f64::to_bits).collect(),
+        )
+    }
+
+    /// The `n = 24` beam cell's schedule, pinned to the values the
+    /// clone-and-step scorer produced. Any change to candidate
+    /// generation, dedup or scoring that moves one bit fails here.
+    #[test]
+    fn n24_schedule_is_pinned() {
+        let (counts, best, outs) =
+            schedule_bits(BeamSearch::new(24, 42).width(4).depth(2).mutations(2), 3);
+        assert_eq!(counts, [4447, 4448, 4448]);
+        assert_eq!(
+            best,
+            [
+                0x3fe1_642c_8590_b217,
+                0x3fe0_13c9_95a4_7bac,
+                0x3fde_de4c_ad23_dd61
+            ]
+        );
+        let (lo, mid, hi) = (0x0, 0x3fdd_7fd1_04d3_df93, 0x3fdd_8d81_5a6c_6fc4);
+        let mut want = vec![hi; 24];
+        want[0] = lo;
+        want[2] = 0x3fde_de4c_ad23_dd61;
+        want[3] = mid;
+        want[22] = mid;
+        assert_eq!(outs, want);
+    }
+
+    /// A beam wide enough that expanded graphs stay in the frontier
+    /// for later waves, where they draw mutants but no toggles; pinned
+    /// like [`n24_schedule_is_pinned`]. Skipping those mutants would
+    /// shift the splitmix64 stream and fail here.
+    #[test]
+    fn wide_beam_schedule_is_pinned() {
+        let (counts, best, outs) =
+            schedule_bits(BeamSearch::new(6, 5).width(40).depth(3).mutations(3), 3);
+        assert_eq!(counts, [2341, 2022, 1952]);
+        assert_eq!(
+            best,
+            [
+                0x3fec_cccc_cccc_cccd,
+                0x3fe7_3333_3333_3333,
+                0x3fe4_9999_9999_999a
+            ]
+        );
+        assert_eq!(
+            outs,
+            [
+                0x3fd6_cccc_cccc_cccd,
+                0x3fd9_9999_9999_999a,
+                0x3fdd_b4e8_1b4e_81b5,
+                0x3fe2_cccc_cccc_cccd,
+                0x3fe0_5ddd_dddd_ddde,
+                0x3ff0_0000_0000_0000,
+            ]
+        );
+    }
+
     #[test]
     fn committed_graphs_are_always_rooted() {
         let n = 6;
@@ -546,6 +652,20 @@ mod tests {
             Driver::next_block(&mut adv, &exec, &mut out);
             assert!(out.iter().all(Digraph::is_rooted));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN value diameter")]
+    fn poisoned_beam_round_is_surfaced() {
+        let exec = Execution::new(crate::adaptive::tests::Poisoned, &spread(4));
+        Driver::next_block(&mut BeamSearch::new(4, 1), &exec, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN value diameter")]
+    fn poisoned_exhaustive_round_is_surfaced() {
+        let exec = Execution::new(crate::adaptive::tests::Poisoned, &spread(3));
+        Driver::next_block(&mut ExhaustiveRooted::new(3), &exec, &mut Vec::new());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   spanning trees whose root rotates every round.
 //! * [`BoundedChurnAdversary`] — *bounded-influence churn*: the edge set
 //!   mutates by at most `k` edges per round around a fixed rooted core.
-//! * [`DiameterMaximiser`] — an *adaptive* driver that forks the live
-//!   execution against a small candidate graph set each round and picks
-//!   the graph maximising the next-round value diameter (a greedy
+//! * [`DiameterMaximiser`] — an *adaptive* driver that scores a small
+//!   candidate graph set against the live execution each round and
+//!   picks the graph maximising the next-round value diameter (a greedy
 //!   value-aware adversary in the spirit of the valency probes).
 //! * [`BeamSearch`] — the scalable form of the adaptive adversary:
 //!   seeded beam search over the rooted-graph class (single-edge
@@ -31,6 +31,10 @@
 //!   enumeration with a width/depth-bounded frontier that reaches
 //!   `n ≥ 16`; [`ExhaustiveRooted`] is its exhaustive reference at
 //!   small `n`.
+//! * [`Lookahead`] — the one-step lookahead scorer all three adaptive
+//!   drivers share: it reads each candidate's next-round diameter off
+//!   the live execution without cloning or stepping it, and scores a
+//!   toggled graph by recomputing only the agents the toggle touched.
 //!
 //! All non-adaptive adversaries are deterministic functions of
 //! `(parameters, seed)`: the same seed reproduces the exact same graph
@@ -64,6 +68,7 @@ pub mod adaptive;
 pub mod beam;
 pub mod churn;
 pub mod grid;
+pub mod lookahead;
 pub mod rotating;
 pub mod tinterval;
 mod util;
@@ -72,5 +77,6 @@ pub use adaptive::DiameterMaximiser;
 pub use beam::{BeamSearch, ExhaustiveRooted};
 pub use churn::BoundedChurnAdversary;
 pub use grid::{AdversaryKind, DynAdversary, DynamicCell, DynamicGrid};
+pub use lookahead::Lookahead;
 pub use rotating::RotatingTreeSchedule;
 pub use tinterval::TIntervalAdversary;
