@@ -347,17 +347,10 @@ pub struct AdversarySpec {
 ///   `n = 4`, and the pruned beam at `n = 16`.
 /// * `full` — longer drives and a wider, deeper beam (adds `n = 24`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown preset name; [`try_adversary_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn adversary_spec(preset: &str) -> AdversarySpec {
-    try_adversary_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`adversary_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`SpecError::UnknownPreset`] names the rejected preset and the
+/// valid set.
 pub fn try_adversary_spec(preset: &str) -> Result<AdversarySpec, SpecError> {
     Ok(match preset {
         "quick" | "golden" => AdversarySpec {

@@ -1,9 +1,12 @@
 //! Parallel multi-seed ensemble sweeps with statistical aggregation.
 //!
-//! Runs one of the registered experiment grids on the work-stealing
-//! sweep pool and prints the aggregate table, optionally followed (or
+//! Runs one of the registered experiment grids through the sweep
+//! coordinator and prints the aggregate table, optionally followed (or
 //! replaced) by the machine-readable JSON document the CI
 //! `sweep-regression` job diffs against the checked-in golden files.
+//! Every run takes the same path; the control-plane flags below only
+//! add a checkpoint, worker processes or metrics to it. A missing or
+//! malformed flag value is a one-line usage error with exit code 2.
 //!
 //! ```text
 //! cargo run --release -p consensus-bench --bin sweep -- [FLAGS]
@@ -35,16 +38,15 @@
 //!   --trace-level LEVEL   span (default) | round; `round` adds a
 //!                         sequential per-cell round replay with
 //!                         per-round diameter/contraction gauges
-//!                         (ensemble grid, classic path)
+//!                         (ensemble grid)
 //!   --trace-timing        use a real wall clock and keep profile
 //!                         events (timestamped JSONL; NOT byte-stable —
 //!                         without this flag the trace is the content
 //!                         stream, identical at any --threads value)
 //! ```
 //!
-//! Control-plane flags (any of them routes the run through the
-//! checkpointed coordinator — the aggregate JSON stays byte-identical
-//! to the classic path):
+//! Control-plane flags (the aggregate JSON stays byte-identical with or
+//! without them):
 //!
 //! ```text
 //!   --checkpoint PATH     stream finished cells to a resumable .sweepck
@@ -72,10 +74,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use consensus_bench::cli::{cell_list, or_exit, parsed, usage_error, value};
 use consensus_bench::obswire::{self, TraceLevel};
 use consensus_bench::orchestrate::{AnySpec, GRID_REGISTRY};
 use consensus_bench::wallclock::WallClock;
@@ -84,19 +88,10 @@ use tight_bounds_consensus::controlplane::{
 };
 use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDER_CAP};
 use tight_bounds_consensus::pool::CancelToken;
+use tight_bounds_consensus::prelude::SweepReport;
 
-/// Unwraps a preset/spec lookup, turning an unknown name into the
-/// CLI's clean usage error (stderr + exit code 2, no backtrace).
-fn spec_or_exit<T>(r: Result<T, consensus_bench::experiments::SpecError>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// The control-plane side of the CLI; any set field routes the run
-/// through the checkpointed coordinator instead of the classic
-/// in-process sweep.
+/// The control-plane side of the CLI: a checkpoint, worker processes,
+/// metrics and the test aids, all optional.
 #[derive(Debug, Default)]
 struct ControlFlags {
     checkpoint: Option<PathBuf>,
@@ -153,6 +148,7 @@ impl TraceFlags {
 }
 
 impl ControlFlags {
+    /// Whether any control-plane flag is set (`--replay` takes none).
     fn engaged(&self) -> bool {
         self.checkpoint.is_some()
             || self.resume
@@ -177,20 +173,18 @@ fn worker_program() -> PathBuf {
     dir.join(format!("sweep-worker{}", std::env::consts::EXE_SUFFIX))
 }
 
-/// Runs the spec through the coordinator (threads or worker processes),
-/// emits the report if the grid completed, and returns the process exit
+/// Runs the spec through the coordinator (threads or worker processes)
+/// and returns the report if the grid completed, with the process exit
 /// code: 0 clean/interrupted-with-checkpoint, 1 on failed cells or a
 /// checkpoint error.
-fn run_coordinated(
+fn run_sweep(
     spec: &AnySpec,
     preset: &str,
     cf: &ControlFlags,
-    tf: &TraceFlags,
+    trace: &TraceHandle,
     threads: Option<usize>,
     seed: Option<u64>,
-    emit: impl Fn(&str, String),
-) -> i32 {
-    let trace = &tf.handle();
+) -> (Option<SweepReport>, i32) {
     let plan = spec.plan(preset);
     let metrics = Arc::new(Metrics::new());
     let cancel = CancelToken::new();
@@ -252,7 +246,7 @@ fn run_coordinated(
         );
         controlplane::run(&plan, &cfg, &pool, &metrics)
     } else {
-        controlplane::run(&plan, &cfg, &*spec.executor(delay), &metrics)
+        controlplane::run(&plan, &cfg, &*spec.executor(delay, trace), &metrics)
     };
     let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
 
@@ -270,8 +264,7 @@ fn run_coordinated(
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            tf.write(trace);
-            return 1;
+            return (None, 1);
         }
     };
     for (cell, error) in &outcome.failed_cells {
@@ -284,14 +277,10 @@ fn run_coordinated(
             plan.n_cells,
             outcome.resumed,
         );
-        tf.write(trace);
-        return 0;
+        return (None, 0);
     }
     let report = spec.report_from_rows(outcome.outcome_rows().expect("completed run has rows"));
-    obswire::enrich_report(trace, &report);
-    tf.write(trace);
-    emit(&report.to_json(), spec.table(&report));
-    i32::from(!outcome.failed_cells.is_empty())
+    (Some(report), i32::from(!outcome.failed_cells.is_empty()))
 }
 
 fn main() {
@@ -308,10 +297,9 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => {
-                grid = it.next().expect("--grid needs a name").clone();
-            }
+        let flag = a.as_str();
+        match flag {
+            "--grid" => grid = value(&mut it, flag, "a name").into(),
             "--list" => {
                 println!("registered grids (select with --grid NAME):");
                 for (name, description) in GRID_REGISTRY {
@@ -322,140 +310,56 @@ fn main() {
             "--golden" => preset = "golden".into(),
             "--quick" => preset = "quick".into(),
             "--full" => preset = "full".into(),
-            "--preset" => {
-                preset = it.next().expect("--preset needs a name").clone();
-            }
+            "--preset" => preset = value(&mut it, flag, "a name").into(),
             // Pre-registry spelling, kept so existing scripts and docs
             // don't break.
             "--multidim" => grid = "multidim".into(),
             "--json" => json_only = true,
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads needs a number"),
-                );
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number"),
-                );
-            }
-            "--out" => {
-                out_path = Some(it.next().expect("--out needs a path").clone());
-            }
-            "--replay" => {
-                replay = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--replay needs a cell index"),
-                );
-            }
-            "--checkpoint" => {
-                cf.checkpoint = Some(PathBuf::from(it.next().expect("--checkpoint needs a path")));
-            }
+            "--threads" => threads = Some(parsed(&mut it, flag, "a number")),
+            "--seed" => seed = Some(parsed(&mut it, flag, "an unsigned 64-bit number")),
+            "--out" => out_path = Some(value(&mut it, flag, "a path").into()),
+            "--replay" => replay = Some(parsed(&mut it, flag, "a cell index")),
+            "--checkpoint" => cf.checkpoint = Some(value(&mut it, flag, "a path").into()),
             "--resume" => cf.resume = true,
             "--workers" => {
-                cf.workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .expect("--workers needs a positive number"),
-                );
+                let n: NonZeroUsize = parsed(&mut it, flag, "a positive number");
+                cf.workers = Some(n.get());
             }
-            "--metrics-out" => {
-                cf.metrics_out = Some(it.next().expect("--metrics-out needs a path").clone());
-            }
-            "--metrics-addr" => {
-                cf.metrics_addr = Some(it.next().expect("--metrics-addr needs host:port").clone());
-            }
-            "--stop-after" => {
-                cf.stop_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--stop-after needs a cell count"),
-                );
-            }
-            "--cell-delay-ms" => {
-                cf.cell_delay_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cell-delay-ms needs a number");
-            }
-            "--trace-out" => {
-                tf.out = Some(it.next().expect("--trace-out needs a path").clone());
-            }
+            "--metrics-out" => cf.metrics_out = Some(value(&mut it, flag, "a path").into()),
+            "--metrics-addr" => cf.metrics_addr = Some(value(&mut it, flag, "host:port").into()),
+            "--stop-after" => cf.stop_after = Some(parsed(&mut it, flag, "a cell count")),
+            "--cell-delay-ms" => cf.cell_delay_ms = parsed(&mut it, flag, "a number"),
+            "--trace-out" => tf.out = Some(value(&mut it, flag, "a path").into()),
             "--trace-level" => {
-                let v = it.next().expect("--trace-level needs span|round");
+                let v = value(&mut it, flag, "span|round");
                 tf.level = TraceLevel::parse(v).unwrap_or_else(|| {
-                    eprintln!("--trace-level: unknown level `{v}` (valid: span|round)");
-                    std::process::exit(2);
+                    usage_error(format!(
+                        "--trace-level: unknown level `{v}` (valid: span|round)"
+                    ))
                 });
             }
             "--trace-timing" => tf.timing = true,
-            "--worker-fail-cells" => {
-                cf.fail_cells = it
-                    .next()
-                    .expect("--worker-fail-cells needs a list `a,b,c`")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--worker-fail-cells: bad index"))
-                    .collect();
-            }
-            other => {
-                eprintln!("unknown flag `{other}` — see the module docs or --list for usage");
-                std::process::exit(2);
-            }
+            "--worker-fail-cells" => cf.fail_cells = cell_list(&mut it, flag),
+            other => usage_error(format!(
+                "unknown flag `{other}` — see the module docs or --list for usage"
+            )),
         }
     }
-    let mut spec = spec_or_exit(AnySpec::resolve(&grid, &preset));
+    let mut spec = or_exit(AnySpec::resolve(&grid, &preset));
     if let Some(s) = seed {
         spec.set_base_seed(s);
     }
     if tf.out.is_none() && (tf.level != TraceLevel::Span || tf.timing) {
-        eprintln!("--trace-level/--trace-timing need --trace-out PATH");
-        std::process::exit(2);
-    }
-    // Every grid run leaves a machine-readable report behind
-    // (BENCH_<grid>.json) unless the caller picked an explicit --out
-    // path or asked for stdout-only JSON (the golden-diff mode, which
-    // must not touch the working directory).
-    if out_path.is_none() && !json_only && replay.is_none() {
-        out_path = Some(format!("BENCH_{}.json", spec.grid_name()));
-    }
-
-    let emit = |json: &str, table: String| {
-        if let Some(path) = &out_path {
-            std::fs::write(path, json).expect("failed to write JSON output");
-        }
-        if json_only {
-            print!("{json}");
-        } else {
-            println!("{table}");
-            if let Some(path) = &out_path {
-                println!("JSON written to {path}");
-            }
-        }
-    };
-
-    if cf.engaged() {
-        if replay.is_some() {
-            eprintln!("--replay is a solo debugging path; drop the control-plane flags");
-            std::process::exit(2);
-        }
-        std::process::exit(run_coordinated(
-            &spec, &preset, &cf, &tf, threads, seed, emit,
-        ));
+        usage_error("--trace-level/--trace-timing need --trace-out PATH");
     }
 
     if let Some(index) = replay {
+        if cf.engaged() {
+            usage_error("--replay is a solo debugging path; drop the control-plane flags");
+        }
         // Replay one cell solo: same configuration, same seed as the
         // full sweep — the debugging path for a surprising aggregate.
-        for (label, seed, o) in spec.replay(index).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }) {
+        for (label, seed, o) in or_exit(spec.replay(index)) {
             println!(
                 "cell {index} [{label}] seed {seed}: rate {:.6}, decision {:?}, rounds {}, converged {}, fingerprint {:016x}",
                 o.rate, o.decision_round, o.rounds, o.converged, o.fingerprint,
@@ -464,8 +368,20 @@ fn main() {
         return;
     }
 
+    // Every grid run leaves a machine-readable report behind
+    // (BENCH_<grid>.json) unless the caller picked an explicit --out
+    // path or asked for stdout-only JSON (the golden-diff mode, which
+    // must not touch the working directory).
+    if out_path.is_none() && !json_only {
+        out_path = Some(format!("BENCH_{}.json", spec.grid_name()));
+    }
+
     let trace = tf.handle();
-    let report = spec.run(threads, &trace);
+    let (report, code) = run_sweep(&spec, &preset, &cf, &trace, threads, seed);
+    let Some(report) = report else {
+        tf.write(&trace);
+        std::process::exit(code);
+    };
     obswire::enrich_report(&trace, &report);
     let mut table = spec.table(&report);
     if let AnySpec::Ensemble(ensemble) = &spec {
@@ -479,7 +395,7 @@ fn main() {
             // applies to all of them, keeping the tables on the same
             // base seed.
             for (name, _) in GRID_REGISTRY.iter().filter(|(n, _)| *n != spec.grid_name()) {
-                let mut other = spec_or_exit(AnySpec::resolve(name, "quick"));
+                let mut other = or_exit(AnySpec::resolve(name, "quick"));
                 if let Some(s) = seed {
                     other.set_base_seed(s);
                 }
@@ -495,5 +411,18 @@ fn main() {
         }
     }
     tf.write(&trace);
-    emit(&report.to_json(), table);
+
+    let json = report.to_json();
+    if let Some(path) = &out_path {
+        std::fs::write(path, &json).expect("failed to write JSON output");
+    }
+    if json_only {
+        print!("{json}");
+    } else {
+        println!("{table}");
+        if let Some(path) = &out_path {
+            println!("JSON written to {path}");
+        }
+    }
+    std::process::exit(code);
 }

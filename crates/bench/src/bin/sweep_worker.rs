@@ -20,6 +20,7 @@
 
 use std::time::Duration;
 
+use consensus_bench::cli::{cell_list, or_exit, parsed, usage_error, value};
 use consensus_bench::orchestrate::{worker_serve, AnySpec};
 
 fn main() {
@@ -32,44 +33,18 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => grid = it.next().expect("--grid needs a name").clone(),
-            "--preset" => preset = it.next().expect("--preset needs a name").clone(),
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number"),
-                );
-            }
-            "--cell-delay-ms" => {
-                delay_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cell-delay-ms needs a number");
-            }
-            "--fail-cells" => {
-                fail_cells = it
-                    .next()
-                    .expect("--fail-cells needs a list `a,b,c`")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--fail-cells: bad index"))
-                    .collect();
-            }
-            other => {
-                eprintln!("sweep-worker: unknown flag `{other}`");
-                std::process::exit(2);
-            }
+        let flag = a.as_str();
+        match flag {
+            "--grid" => grid = value(&mut it, flag, "a name").into(),
+            "--preset" => preset = value(&mut it, flag, "a name").into(),
+            "--seed" => seed = Some(parsed(&mut it, flag, "an unsigned 64-bit number")),
+            "--cell-delay-ms" => delay_ms = parsed(&mut it, flag, "a number"),
+            "--fail-cells" => fail_cells = cell_list(&mut it, flag),
+            other => usage_error(format!("sweep-worker: unknown flag `{other}`")),
         }
     }
 
-    let mut spec = match AnySpec::resolve(&grid, &preset) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sweep-worker: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut spec = or_exit(AnySpec::resolve(&grid, &preset));
     if let Some(s) = seed {
         spec.set_base_seed(s);
     }

@@ -871,17 +871,10 @@ impl std::error::Error for SpecError {}
 /// * `quick` — a fast smoke ensemble (36 cells).
 /// * `full` — the real ensemble (960 cells over 5 graph classes).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown preset name; [`try_ensemble_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn ensemble_spec(preset: &str) -> EnsembleSpec {
-    try_ensemble_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`ensemble_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`SpecError::UnknownPreset`] names the rejected preset and the
+/// valid set.
 pub fn try_ensemble_spec(preset: &str) -> Result<EnsembleSpec, SpecError> {
     Ok(match preset {
         "golden" => EnsembleSpec {
@@ -1121,17 +1114,10 @@ pub struct MultidimSpec {
 /// * `full` — the larger ensemble (adds `d = 4`, `n = 12`, non-split
 ///   graphs, more replicates).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown preset name; [`try_multidim_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn multidim_spec(preset: &str) -> MultidimSpec {
-    try_multidim_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`multidim_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`SpecError::UnknownPreset`] names the rejected preset and the
+/// valid set.
 pub fn try_multidim_spec(preset: &str) -> Result<MultidimSpec, SpecError> {
     Ok(match preset {
         "quick" | "golden" => MultidimSpec {
@@ -1188,23 +1174,10 @@ pub fn try_multidim_spec(preset: &str) -> Result<MultidimSpec, SpecError> {
 /// paper's separation. Cells that exhaust the budget report
 /// [`CellOutcome::failed`] (`NaN`-free aggregation).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the cell's dimension is not one of `{1, 2, 3, 4, 8}` (the
-/// monomorphised dispatch set); [`try_run_multidim_cell`] is the
-/// fallible variant.
-#[must_use]
-pub fn run_multidim_cell(
-    cell: &MultidimCell,
-    ctx: CellCtx,
-    tol: f64,
-    max_rounds: usize,
-) -> (CellOutcome, CellOutcome) {
-    try_run_multidim_cell(cell, ctx, tol, max_rounds).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_multidim_cell`]: reports an unsupported dimension as
-/// a [`SpecError`] instead of panicking.
+/// [`SpecError::UnsupportedDimension`] if the cell's dimension is not
+/// one of `{1, 2, 3, 4, 8}` (the monomorphised dispatch set).
 pub fn try_run_multidim_cell(
     cell: &MultidimCell,
     ctx: CellCtx,
@@ -1350,7 +1323,9 @@ impl Grid<2> for MultidimSpec {
     }
 
     fn run_cell(&self, cell: &MultidimCell, ctx: CellCtx, _: &TraceHandle) -> [CellOutcome; 2] {
-        run_multidim_cell(cell, ctx, self.tol, self.max_rounds).into()
+        try_run_multidim_cell(cell, ctx, self.tol, self.max_rounds)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into()
     }
 
     /// The repo's table style: the aggregate block plus the
@@ -1424,7 +1399,7 @@ impl Grid<2> for MultidimSpec {
 /// preset through the sweep pool and renders the separation table.
 #[must_use]
 pub fn multidim_decision_times(quick: bool) -> String {
-    let spec = multidim_spec(if quick { "quick" } else { "full" });
+    let spec = try_multidim_spec(if quick { "quick" } else { "full" }).expect("registered preset");
     spec.table(&run_multidim(&spec, None))
 }
 
@@ -1459,17 +1434,10 @@ pub struct DynamicSpec {
 /// * `full` — the larger ensemble (adds `n = 16`, `T = 8`, `k = 8` and
 ///   bipolar inits, more replicates).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown preset name; [`try_dynamic_spec`] is the
-/// fallible variant the CLI uses.
-#[must_use]
-pub fn dynamic_spec(preset: &str) -> DynamicSpec {
-    try_dynamic_spec(preset).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`dynamic_spec`]: returns the rejected name and the valid
-/// set instead of panicking.
+/// [`SpecError::UnknownPreset`] names the rejected preset and the
+/// valid set.
 pub fn try_dynamic_spec(preset: &str) -> Result<DynamicSpec, SpecError> {
     let quick_kinds = [
         AdversaryKind::TInterval { t: 1 },
@@ -1717,7 +1685,7 @@ impl Grid<1> for DynamicSpec {
 /// through the sweep pool and renders the per-kind table.
 #[must_use]
 pub fn dynamic_rates_report(quick: bool) -> String {
-    let spec = dynamic_spec(if quick { "quick" } else { "full" });
+    let spec = try_dynamic_spec(if quick { "quick" } else { "full" }).expect("registered preset");
     spec.table(&run_dynamic(&spec, None))
 }
 
@@ -1797,7 +1765,7 @@ mod tests {
 
     #[test]
     fn multidim_report_is_thread_count_invariant() {
-        let spec = multidim_spec("quick");
+        let spec = try_multidim_spec("quick").expect("registered preset");
         let a = run_multidim(&spec, Some(1));
         let b = run_multidim(&spec, Some(3));
         assert_eq!(
@@ -1820,12 +1788,13 @@ mod tests {
             replicate: 0,
         };
         let ctx = CellCtx { index: 0, seed: 1 };
-        let _ = run_multidim_cell(&cell, ctx, 1e-6, 10);
+        let spec = try_multidim_spec("quick").expect("registered preset");
+        let _ = Grid::run_cell(&spec, &cell, ctx, &TraceHandle::disabled());
     }
 
     #[test]
     fn dynamic_quick_grid_is_thread_count_invariant_and_separates() {
-        let spec = dynamic_spec("quick");
+        let spec = try_dynamic_spec("quick").expect("registered preset");
         let a = run_dynamic(&spec, Some(1));
         let b = run_dynamic(&spec, Some(3));
         assert_eq!(
@@ -1855,9 +1824,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown dynamic preset")]
     fn dynamic_spec_rejects_unknown_presets() {
-        let _ = dynamic_spec("nope");
+        let e = try_dynamic_spec("nope").unwrap_err();
+        assert!(
+            e.to_string().contains("unknown dynamic preset `nope`"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1919,7 +1891,7 @@ mod tests {
 
     #[test]
     fn golden_ensemble_is_thread_count_invariant_and_clean() {
-        let spec = ensemble_spec("golden");
+        let spec = try_ensemble_spec("golden").expect("registered preset");
         let a = run_ensemble(&spec, Some(1));
         let b = run_ensemble(&spec, Some(4));
         assert_eq!(

@@ -130,7 +130,7 @@ pub fn write_trace(path: &str, trace: &TraceHandle, timing: bool) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::ensemble_spec;
+    use crate::experiments::try_ensemble_spec;
     use crate::orchestrate::run_grid;
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn enrichment_is_a_pure_function_of_the_report() {
-        let spec = ensemble_spec("golden");
+        let spec = try_ensemble_spec("golden").expect("registered preset");
         let t1 = TraceHandle::enabled();
         let t2 = TraceHandle::enabled();
         let r1 = run_grid(&spec, Some(1), &t1);
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn round_replay_matches_reported_rounds_and_never_alters_the_report() {
-        let spec = ensemble_spec("golden");
+        let spec = try_ensemble_spec("golden").expect("registered preset");
         let plain = crate::experiments::run_ensemble(&spec, Some(2));
         let trace = TraceHandle::enabled();
         let traced = run_grid(&spec, Some(2), &trace);

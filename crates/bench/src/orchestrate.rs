@@ -3,23 +3,20 @@
 //!
 //! A grid spec knows its registry name, base seed, cells, the labels of
 //! the rows one cell contributes, how to run one cell, and its table.
-//! The rest is written once over the trait: [`run_grid`] (the classic
-//! in-process run; a disabled [`TraceHandle`] is the untraced run), the
-//! coordinator's bounds-checked [`CellExecutor`], report assembly (one
-//! label/seed derivation for [`run_grid`] and
-//! [`AnySpec::report_from_rows`]), `--replay`, and the `sweep-worker`
-//! serve loop ([`worker_serve`]). [`AnySpec`] is the registry: adding a
-//! grid is one [`Grid`] impl plus one registry entry — an [`AnySpec`]
-//! variant, named in [`GRID_REGISTRY`], [`AnySpec::resolve`] and the
-//! `dispatch!` macro.
+//! The rest is written once over the trait: the bounds-checked
+//! [`CellExecutor`] the coordinator runs cells through, report assembly
+//! (one label/seed derivation for every report), `--replay`, and the
+//! `sweep-worker` serve loop ([`worker_serve`]). [`AnySpec`] is the
+//! registry: adding a grid is one [`Grid`] impl plus one registry
+//! entry — an [`AnySpec`] variant, named in [`GRID_REGISTRY`],
+//! [`AnySpec::resolve`] and the `dispatch!` macro.
 //!
-//! The load-bearing invariant: for every grid,
-//!
-//! ```text
-//! report_from_rows(coordinated run rows)  ==  run_grid(spec, threads)
-//! ```
-//!
-//! **byte-for-byte** on the JSON — whether the rows came from in-process
+//! There is one grid runner, [`controlplane::run`]. [`run_grid`] is it
+//! with no checkpoint over the in-process executor, followed by
+//! [`AnySpec::report_from_rows`]'s report assembly; the `sweep` bin adds
+//! the checkpoint, the worker processes and the metrics to the same
+//! call. The load-bearing invariant: for every grid, the report JSON is
+//! **byte-for-byte** the same whether the rows came from in-process
 //! threads, spawned worker processes, or a checkpoint resumed across
 //! three kills. The tests below and in `tests/cli.rs` pin this for every
 //! grid against its `ci/` golden; the CI `resume-integrity` job pins it
@@ -28,7 +25,9 @@
 use std::io::{BufRead as _, Write as _};
 use std::time::Duration;
 
-use tight_bounds_consensus::controlplane::{coordinator, protocol, CellExecutor, SweepPlan};
+use tight_bounds_consensus::controlplane::{
+    self, coordinator, protocol, CellExecutor, Metrics, RunConfig, SweepPlan,
+};
 use tight_bounds_consensus::pool;
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::cell_seed;
@@ -83,22 +82,36 @@ pub const GRID_REGISTRY: &[(&str, &str)] = &[
     (AdversarySpec::NAME, AdversarySpec::DESCRIPTION),
 ];
 
-/// Runs a grid on the sweep pool (`threads = None` ⇒ all cores; thread
-/// count never changes the report). An enabled `trace` records the
-/// per-cell spans, the pool profile and the grid's own trace points;
+/// Runs a grid in process (`threads = None` ⇒ all cores; thread count
+/// never changes the report): [`controlplane::run`] with no checkpoint
+/// over the grid's in-process executor, then report assembly. An
+/// enabled `trace` records the per-cell spans, the pool profile, the
+/// coordinator's profile-class span and the grid's own trace points;
 /// the report is byte-identical to the untraced run.
+///
+/// # Panics
+///
+/// Panics naming every failed cell and its message.
 #[must_use]
 pub fn run_grid<const R: usize, G: Grid<R>>(
     grid: &G,
     threads: Option<usize>,
     trace: &TraceHandle,
 ) -> SweepReport {
-    let sweep = Sweep::new(grid.cells())
-        .seed(grid.base_seed())
-        .threads(threads.unwrap_or_else(pool::default_threads))
-        .trace(trace.clone());
-    let rows = sweep.run(|cell, ctx| grid.run_cell(cell, ctx, trace));
-    report(grid, sweep.cells(), rows.into_flattened())
+    let exec = GridExecutor::new(grid, Duration::ZERO, trace);
+    let cfg = RunConfig {
+        threads: threads.unwrap_or_else(pool::default_threads),
+        trace: trace.clone(),
+        ..RunConfig::default()
+    };
+    let out = controlplane::run(&plan(grid, ""), &cfg, &exec, &Metrics::new())
+        .unwrap_or_else(|e| panic!("{e}"));
+    if !out.failed_cells.is_empty() {
+        let failures: Vec<&str> = out.failed_cells.iter().map(|(_, e)| e.as_str()).collect();
+        panic!("{} grid failed: {}", G::NAME, failures.join("; "));
+    }
+    let rows = out.outcome_rows().expect("an uncancelled run completes");
+    report(grid, &exec.cells, rows)
 }
 
 /// Assembles a report from flat outcome rows (cell order, one row per
@@ -136,21 +149,23 @@ fn plan<const R: usize, G: Grid<R>>(grid: &G, preset: &str) -> SweepPlan {
 }
 
 /// An in-process [`CellExecutor`] over one grid (cells materialized
-/// once): runs [`Grid::run_cell`] with the same `(base_seed, cell)`-
-/// derived [`CellCtx`] as [`run_grid`], so its rows are bit-identical to
-/// an uncoordinated sweep's.
+/// once): runs [`Grid::run_cell`] with the `(base_seed, cell)`-derived
+/// [`CellCtx`] the coordinator's sweep hands out, recording the grid's
+/// own trace points in the run's `trace`.
 struct GridExecutor<'g, const R: usize, G: Grid<R>> {
     grid: &'g G,
     cells: Vec<G::Cell>,
     delay: Duration,
+    trace: TraceHandle,
 }
 
 impl<'g, const R: usize, G: Grid<R>> GridExecutor<'g, R, G> {
-    fn new(grid: &'g G, delay: Duration) -> Self {
+    fn new(grid: &'g G, delay: Duration, trace: &TraceHandle) -> Self {
         GridExecutor {
             grid,
             cells: grid.cells(),
             delay,
+            trace: trace.clone(),
         }
     }
 }
@@ -175,10 +190,7 @@ impl<const R: usize, G: Grid<R>> CellExecutor for GridExecutor<'_, R, G> {
             index: cell,
             seed: cell_seed(self.grid.base_seed(), cell as u64),
         };
-        Ok(self
-            .grid
-            .run_cell(c, ctx, &TraceHandle::disabled())
-            .to_vec())
+        Ok(self.grid.run_cell(c, ctx, &self.trace).to_vec())
     }
 }
 
@@ -249,12 +261,13 @@ impl AnySpec {
     }
 
     /// An in-process [`CellExecutor`] over this grid (cells
-    /// materialized once). `delay` stretches every cell by a sleep — the
-    /// CI crash-resume job uses it to make a mid-grid `SIGKILL` land
+    /// materialized once) that records the grid's trace points in
+    /// `trace`. `delay` stretches every cell by a sleep — the CI
+    /// crash-resume job uses it to make a mid-grid `SIGKILL` land
     /// reliably; zero means no overhead.
     #[must_use]
-    pub fn executor(&self, delay: Duration) -> Box<dyn CellExecutor + '_> {
-        dispatch!(self, g => Box::new(GridExecutor::new(g, delay)))
+    pub fn executor(&self, delay: Duration, trace: &TraceHandle) -> Box<dyn CellExecutor + '_> {
+        dispatch!(self, g => Box::new(GridExecutor::new(g, delay, trace)))
     }
 
     /// Assembles the grid's [`SweepReport`] from coordinator outcome
@@ -275,17 +288,10 @@ impl AnySpec {
         dispatch!(self, g => g.table(report))
     }
 
-    /// The classic in-process path (no checkpoint, no workers): runs
-    /// the grid straight on the sweep pool, tracing into `trace`.
-    #[must_use]
-    pub fn run(&self, threads: Option<usize>, trace: &TraceHandle) -> SweepReport {
-        dispatch!(self, g => run_grid(g, threads, trace))
-    }
-
-    /// [`AnySpec::run`] untraced.
+    /// [`run_grid`] untraced.
     #[must_use]
     pub fn run_in_process(&self, threads: Option<usize>) -> SweepReport {
-        self.run(threads, &TraceHandle::disabled())
+        dispatch!(self, g => run_grid(g, threads, &TraceHandle::disabled()))
     }
 
     /// Re-runs cell `index` solo — same configuration, same seed as the
@@ -297,7 +303,7 @@ impl AnySpec {
     /// Errs when `index` is not a cell of the grid.
     pub fn replay(&self, index: usize) -> Result<Vec<(String, u64, CellOutcome)>, String> {
         dispatch!(self, g => {
-            let exec = GridExecutor::new(g, Duration::ZERO);
+            let exec = GridExecutor::new(g, Duration::ZERO, &TraceHandle::disabled());
             let rows = exec.run_cell(index)?;
             let seed = cell_seed(g.base_seed(), index as u64);
             Ok(g.row_labels(&exec.cells[index])
@@ -324,7 +330,7 @@ pub fn worker_serve(
     delay: Duration,
     fail_cells: &[u64],
 ) -> Result<(), std::io::Error> {
-    let exec = spec.executor(delay);
+    let exec = spec.executor(delay, &TraceHandle::disabled());
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -360,7 +366,6 @@ fn worker_reply(exec: &dyn CellExecutor, fail_cells: &[u64], line: &str) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tight_bounds_consensus::controlplane::{self, Metrics, RunConfig};
 
     #[test]
     fn resolve_covers_the_registry_and_rejects_strangers() {
@@ -374,11 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn coordinated_golden_ensemble_matches_the_classic_path_byte_for_byte() {
+    fn in_process_and_explicit_coordinator_runs_are_the_golden_json() {
+        let golden = include_str!("../../../ci/golden_sweep.json");
         let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let classic = spec.run_in_process(Some(2)).to_json();
+        let in_process = spec.run_in_process(Some(2)).to_json();
+        assert_eq!(in_process, golden);
 
-        let exec = spec.executor(Duration::ZERO);
+        let exec = spec.executor(Duration::ZERO, &TraceHandle::disabled());
         let out = controlplane::run(
             &spec.plan("golden"),
             &RunConfig {
@@ -394,9 +401,45 @@ mod tests {
             .report_from_rows(out.outcome_rows().expect("complete"))
             .to_json();
         assert_eq!(
-            classic, coordinated,
-            "the control plane must not change a single byte of the golden JSON"
+            coordinated, golden,
+            "the thread count must not change a single byte of the golden JSON"
         );
+    }
+
+    /// A two-cell grid whose second cell panics.
+    struct Poisoned;
+
+    impl Grid<1> for Poisoned {
+        const NAME: &'static str = "poisoned";
+        const DESCRIPTION: &'static str = "a grid with a panicking cell";
+        type Cell = u64;
+
+        fn report_name(&self) -> &str {
+            Self::NAME
+        }
+        fn base_seed(&self) -> u64 {
+            1
+        }
+        fn set_base_seed(&mut self, _: u64) {}
+        fn cells(&self) -> Vec<u64> {
+            vec![0, 1]
+        }
+        fn row_labels(&self, cell: &u64) -> [String; 1] {
+            [cell.to_string()]
+        }
+        fn run_cell(&self, cell: &u64, _: CellCtx, _: &TraceHandle) -> [CellOutcome; 1] {
+            assert!(*cell != 1, "cell one is poisoned");
+            [CellOutcome::of_rate(0.5, 1)]
+        }
+        fn table(&self, _: &SweepReport) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned grid failed: cell 1 panicked: cell one is poisoned")]
+    fn run_grid_panics_naming_the_failed_cell() {
+        let _ = run_grid(&Poisoned, Some(2), &TraceHandle::disabled());
     }
 
     #[test]
@@ -415,8 +458,8 @@ mod tests {
             max_rounds: 200,
         });
         assert_eq!(spec.plan("unit").rows_per_cell, 2);
-        let classic = spec.run_in_process(Some(1)).to_json();
-        let exec = spec.executor(Duration::ZERO);
+        let in_process = spec.run_in_process(Some(1)).to_json();
+        let exec = spec.executor(Duration::ZERO, &TraceHandle::disabled());
         let out = controlplane::run(
             &spec.plan("unit"),
             &RunConfig::default(),
@@ -427,13 +470,17 @@ mod tests {
         let coordinated = spec
             .report_from_rows(out.outcome_rows().expect("complete"))
             .to_json();
-        assert_eq!(classic, coordinated);
+        assert_eq!(in_process, coordinated);
     }
 
     #[test]
     fn worker_answers_an_out_of_range_cell_with_a_typed_failure() {
         let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let reply = worker_reply(&*spec.executor(Duration::ZERO), &[], "{\"cell\": 999}");
+        let reply = worker_reply(
+            &*spec.executor(Duration::ZERO, &TraceHandle::disabled()),
+            &[],
+            "{\"cell\": 999}",
+        );
         assert_eq!(
             protocol::decode_response(&reply),
             Ok(protocol::Response::Failed {
@@ -447,7 +494,10 @@ mod tests {
     #[test]
     fn worker_protocol_round_trips_executor_rows() {
         let spec = AnySpec::resolve("ensemble", "golden").expect("golden");
-        let rows = spec.executor(Duration::ZERO).run_cell(3).expect("in range");
+        let rows = spec
+            .executor(Duration::ZERO, &TraceHandle::disabled())
+            .run_cell(3)
+            .expect("in range");
         let line = protocol::encode_done(3, &rows);
         let protocol::Response::Done { outcomes, .. } =
             protocol::decode_response(&line).expect("decode")

@@ -1,8 +1,9 @@
 //! End-to-end tests of the `sweep` binary's CLI: clean usage errors
 //! (one stderr line, exit code 2, never a backtrace) and, for every
-//! registered grid, the classic, checkpoint/resume and spawned-worker
-//! paths pinned byte-identical to the grid's `ci/` golden JSON, plus
-//! `--replay`, injected worker failures, and the metrics snapshot.
+//! registered grid, the plain, checkpoint/resume and spawned-worker
+//! runs pinned byte-identical to the grid's `ci/` golden JSON, plus
+//! `--replay`, injected worker failures, the metrics snapshot, and
+//! traces that do not depend on whether a checkpoint is kept.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -96,6 +97,119 @@ fn unknown_grid_still_exits_two_with_the_registry_hint() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// Asserts `out` is a clean usage error that names `flag` and `bad`.
+fn assert_usage_error(out: &std::process::Output, flag: &str, bad: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {err}");
+    assert!(
+        err.contains(flag) && err.contains(bad),
+        "names the flag and the value: {err}"
+    );
+    assert!(
+        !err.contains("panicked") && !err.contains("RUST_BACKTRACE"),
+        "no panic, no backtrace: {err}"
+    );
+}
+
+#[test]
+fn bad_flag_values_are_clean_usage_errors() {
+    for (args, bad) in [
+        (&["--threads", "abc"][..], "`abc`"),
+        (&["--threads"][..], "needs a number"),
+        (&["--seed", "-1"][..], "`-1`"),
+        (&["--workers", "0"][..], "`0`"),
+        (&["--replay", "x"][..], "`x`"),
+        (&["--stop-after", "-3"][..], "`-3`"),
+        (&["--cell-delay-ms", "1.5"][..], "`1.5`"),
+        (&["--worker-fail-cells", "1,x"][..], "`x`"),
+        (&["--worker-fail-cells"][..], "needs a list"),
+    ] {
+        assert_usage_error(&run(args), args[0], bad);
+    }
+}
+
+#[test]
+fn bad_worker_flag_values_are_clean_usage_errors() {
+    for (args, bad) in [
+        (&["--seed", "zz"][..], "`zz`"),
+        (&["--cell-delay-ms", "-1"][..], "`-1`"),
+        (&["--fail-cells", "2,,3"][..], "``"),
+        (&["--seed"][..], "needs an unsigned"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep-worker"))
+            .args(args)
+            .output()
+            .expect("spawn the sweep-worker bin");
+        assert_usage_error(&out, args[0], bad);
+    }
+}
+
+/// Runs `args` plus `--trace-out` and returns the written trace.
+fn traced(args: &[&str], name: &str) -> Vec<u8> {
+    let path = tmpfile(name);
+    let path_s = path.to_str().expect("utf8 temp path");
+    let mut args = args.to_vec();
+    args.extend_from_slice(&["--trace-out", path_s]);
+    let out = run(&args);
+    assert!(
+        out.status.success(),
+        "{name}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    trace
+}
+
+#[test]
+fn adversary_trace_is_the_same_with_and_without_a_checkpoint() {
+    let args = ["--grid", "adversary_search", "--quick", "--json"];
+    let plain = traced(&args, "adv-plain.jsonl");
+    let ck = tmpfile("adv.sweepck");
+    std::fs::remove_file(&ck).ok();
+    let mut with_ck = args.to_vec();
+    with_ck.extend_from_slice(&["--checkpoint", ck.to_str().expect("utf8 temp path")]);
+    let checkpointed = traced(&with_ck, "adv-ck.jsonl");
+    std::fs::remove_file(&ck).ok();
+    assert!(
+        String::from_utf8_lossy(&plain).contains("beam"),
+        "the grid's own trace points are recorded"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&plain),
+        String::from_utf8_lossy(&checkpointed),
+        "a checkpoint must not drop trace points"
+    );
+}
+
+#[test]
+fn checkpointed_round_trace_is_the_golden_trace() {
+    let golden =
+        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/golden_trace.jsonl"))
+            .expect("read the golden trace");
+    let ck = tmpfile("trace.sweepck");
+    std::fs::remove_file(&ck).ok();
+    let trace = traced(
+        &[
+            "--golden",
+            "--json",
+            "--threads",
+            "3",
+            "--checkpoint",
+            ck.to_str().expect("utf8 temp path"),
+            "--trace-level",
+            "round",
+        ],
+        "ck-round.jsonl",
+    );
+    std::fs::remove_file(&ck).ok();
+    assert_eq!(
+        String::from_utf8_lossy(&trace),
+        String::from_utf8_lossy(&golden),
+        "the checkpointed round-level trace is ci/golden_trace.jsonl"
+    );
+}
+
 #[test]
 fn named_preset_flag_runs_the_golden_grid() {
     let out = run(&["--preset", "golden", "--json"]);
@@ -112,8 +226,8 @@ fn interrupted_checkpoint_run_resumes_to_the_identical_golden_json() {
     for (grid, _) in GRID_REGISTRY {
         let (preset, golden) = ci_golden(grid);
         let out = run(&grid_args(grid, preset, &[]));
-        assert!(out.status.success(), "{grid}: classic run");
-        assert_eq!(out.stdout, golden, "{grid}: classic JSON is the golden");
+        assert!(out.status.success(), "{grid}: plain run");
+        assert_eq!(out.stdout, golden, "{grid}: plain JSON is the golden");
 
         let ck = tmpfile(&format!("resume-{grid}.sweepck"));
         std::fs::remove_file(&ck).ok();

@@ -18,7 +18,7 @@
 //!   while the pruned beam at `n = 16` finds schedules contracting
 //!   strictly slower than the 1/2 deaf bound.
 
-use consensus_bench::advsearch::{adversary_checks, adversary_spec, run_adversary, AdvCell};
+use consensus_bench::advsearch::{adversary_checks, run_adversary, try_adversary_spec, AdvCell};
 
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
 /// diff it without building the test harness).
@@ -26,7 +26,7 @@ const GOLDEN: &str = include_str!("../../../ci/golden_adversary.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = adversary_spec("quick");
+    let spec = try_adversary_spec("quick").expect("registered preset");
     let report = run_adversary(&spec, Some(2));
     assert_eq!(
         report.to_json(),
@@ -40,7 +40,7 @@ fn quick_preset_matches_the_golden_json() {
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = adversary_spec("quick");
+    let spec = try_adversary_spec("quick").expect("registered preset");
     let one = run_adversary(&spec, Some(1));
     let many = run_adversary(&spec, Some(4));
     assert_eq!(
@@ -52,7 +52,7 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn every_cross_cell_invariant_holds() {
-    let spec = adversary_spec("quick");
+    let spec = try_adversary_spec("quick").expect("registered preset");
     let report = run_adversary(&spec, None);
     assert_eq!(report.summary.failures, 0, "every probe must converge");
     let checks = adversary_checks(&spec, &report);
@@ -70,7 +70,7 @@ fn every_cross_cell_invariant_holds() {
 
 #[test]
 fn diameter_max_rate_is_exactly_half_at_n16() {
-    let spec = adversary_spec("quick");
+    let spec = try_adversary_spec("quick").expect("registered preset");
     let report = run_adversary(&spec, None);
     let mut seen = 0;
     for (i, cell) in spec.cells.iter().enumerate() {
@@ -88,7 +88,7 @@ fn diameter_max_rate_is_exactly_half_at_n16() {
 
 #[test]
 fn full_width_beam_equals_the_exhaustive_argmax() {
-    let spec = adversary_spec("quick");
+    let spec = try_adversary_spec("quick").expect("registered preset");
     let report = run_adversary(&spec, None);
     let beam = spec
         .cells

@@ -14,7 +14,7 @@
 //!   sits exactly at the paper's 1/2 non-split bound.
 
 use consensus_bench::experiments::{
-    dynamic_by_kind, dynamic_separation, dynamic_spec, run_dynamic,
+    dynamic_by_kind, dynamic_separation, run_dynamic, try_dynamic_spec,
 };
 use tight_bounds_consensus::prelude::AdversaryKind;
 
@@ -24,7 +24,7 @@ const GOLDEN: &str = include_str!("../../../ci/golden_dynamic.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = dynamic_spec("quick");
+    let spec = try_dynamic_spec("quick").expect("registered preset");
     let report = run_dynamic(&spec, Some(2));
     assert_eq!(
         report.to_json(),
@@ -38,7 +38,7 @@ fn quick_preset_matches_the_golden_json() {
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = dynamic_spec("quick");
+    let spec = try_dynamic_spec("quick").expect("registered preset");
     let one = run_dynamic(&spec, Some(1));
     let many = run_dynamic(&spec, Some(4));
     assert_eq!(
@@ -50,7 +50,7 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn decision_times_strictly_increase_in_t() {
-    let spec = dynamic_spec("quick");
+    let spec = try_dynamic_spec("quick").expect("registered preset");
     let report = run_dynamic(&spec, None);
     assert_eq!(
         report.summary.failures, 0,
@@ -78,7 +78,7 @@ fn decision_times_strictly_increase_in_t() {
 
 #[test]
 fn rates_stay_within_the_tight_bounds_envelope() {
-    let spec = dynamic_spec("quick");
+    let spec = try_dynamic_spec("quick").expect("registered preset");
     let report = run_dynamic(&spec, None);
     let rate = report.summary.rate.as_ref().expect("rates measured");
     assert!(

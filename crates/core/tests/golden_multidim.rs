@@ -12,7 +12,7 @@
 //!   rounds on average than the coordinate-wise box-centre rule, on the
 //!   *same* executions (identical inits and graph sequences per pair).
 
-use consensus_bench::experiments::{multidim_separation, multidim_spec, run_multidim};
+use consensus_bench::experiments::{multidim_separation, run_multidim, try_multidim_spec};
 
 /// The checked-in golden JSON (kept in `ci/` so the regression job can
 /// diff it without building the test harness).
@@ -20,7 +20,7 @@ const GOLDEN: &str = include_str!("../../../ci/golden_multidim.json");
 
 #[test]
 fn quick_preset_matches_the_golden_json() {
-    let spec = multidim_spec("quick");
+    let spec = try_multidim_spec("quick").expect("registered preset");
     let report = run_multidim(&spec, Some(2));
     assert_eq!(
         report.to_json(),
@@ -33,7 +33,7 @@ fn quick_preset_matches_the_golden_json() {
 
 #[test]
 fn quick_preset_is_thread_count_invariant() {
-    let spec = multidim_spec("quick");
+    let spec = try_multidim_spec("quick").expect("registered preset");
     let one = run_multidim(&spec, Some(1));
     let many = run_multidim(&spec, Some(4));
     assert_eq!(
@@ -45,7 +45,7 @@ fn quick_preset_is_thread_count_invariant() {
 
 #[test]
 fn separation_simplex_decides_strictly_earlier_for_d_ge_2() {
-    let spec = multidim_spec("quick");
+    let spec = try_multidim_spec("quick").expect("registered preset");
     let report = run_multidim(&spec, None);
     assert_eq!(
         report.summary.failures, 0,
@@ -79,7 +79,7 @@ fn separation_simplex_decides_strictly_earlier_for_d_ge_2() {
 
 #[test]
 fn d1_pairs_are_bit_identical() {
-    let spec = multidim_spec("quick");
+    let spec = try_multidim_spec("quick").expect("registered preset");
     let report = run_multidim(&spec, None);
     let cells = spec.grid.cells();
     for (i, cell) in cells.iter().enumerate() {

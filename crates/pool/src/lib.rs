@@ -18,20 +18,21 @@
 //! in-place parallel writes: chunks are disjoint, so any pure-per-slot
 //! writer is deterministic at every worker count.
 //!
-//! Two extensions serve the checkpointing control plane:
+//! The runners are one core and one wrapper over it, plus the chunked
+//! writer:
 //!
-//! * [`CancelToken`] — a shared stop flag. A cancelled run stops
-//!   *pulling* new jobs but drains the cells already in flight, so a
+//! * [`try_run_indexed_profiled`] — the core. It invokes an observer on
+//!   the worker thread the moment each cell completes (the
+//!   streaming-checkpoint hook), honors a [`CancelToken`] (a cancelled
+//!   run stops *pulling* new jobs but drains the cells in flight, so a
 //!   coordinator shutdown never tears a half-written result out of a
-//!   worker's hands.
-//! * [`try_run_indexed_observed`] — invokes an observer on the worker
-//!   thread the moment each cell completes (the streaming-checkpoint
-//!   hook), and reports **every** panicking cell, not just the first.
-//!
-//! For observability, [`try_run_indexed_profiled`] additionally fills a
-//! [`PoolProfile`] with per-worker own/steal counts and per-cell
-//! durations (timed through an injected `consensus-obs` [`Clock`] —
-//! this crate reads no wall clocks itself).
+//!   worker's hands), reports **every** panicking cell, and fills a
+//!   [`PoolProfile`] with per-worker own/steal counts and per-cell
+//!   durations (timed through an injected `consensus-obs` [`Clock`] —
+//!   this crate reads no wall clocks itself).
+//! * [`run_indexed`] — the core with no observer, no cancellation and
+//!   no profile, panicking on a failed cell.
+//! * [`for_each_chunk_mut`] — disjoint in-place chunk writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -217,107 +218,67 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f(0), f(1), …, f(n_cells - 1)` on up to `threads` workers and
-/// returns the results in index order.
+/// returns the results in index order: [`try_run_indexed_profiled`]
+/// with no observer, no cancellation and a throwaway profile.
 ///
-/// `threads ≤ 1` (or a single cell) degrades to a plain sequential loop
-/// with no thread or lock overhead. Worker identity never influences the
-/// result: the output of cell `i` is `f(i)`, full stop.
+/// `threads ≤ 1` (or a single cell) degrades to a plain sequential loop.
+/// Worker identity never influences the result: the output of cell `i`
+/// is `f(i)`, full stop.
 ///
 /// # Panics
 ///
 /// Propagates cell-runner panics, re-raised with every offending cell
-/// index (see [`try_run_indexed`] for the non-panicking form).
+/// index (see [`try_run_indexed_profiled`] for the non-panicking form).
 pub fn run_indexed<R, F>(n_cells: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    match try_run_indexed(n_cells, threads, f) {
-        Ok(out) => out,
+    let profile = PoolProfile::new();
+    match try_run_indexed_profiled(
+        n_cells,
+        threads,
+        &CancelToken::new(),
+        &NullClock,
+        f,
+        |_, _| {},
+        &profile,
+    ) {
+        Ok(slots) => slots
+            .into_iter()
+            .map(|r| r.expect("no cancel token raised: every cell ran"))
+            .collect(),
         Err(e) => panic!("sweep worker panicked: {e}"),
     }
 }
 
-/// Like [`run_indexed`], but panicking cell runners are reported as a
-/// [`PoolError`] naming **every** bad cell instead of tearing the
-/// caller down.
-///
-/// All cells run to completion even when some panic (a panicking cell
-/// is caught and recorded, and its worker moves on), so the error is a
-/// complete census of the poisoned cells — deterministic regardless of
-/// interleaving, ascending by index. The closure is wrapped in
-/// [`AssertUnwindSafe`]: a panicking cell may leave caller-owned shared
-/// state (atomics, mutexes) partially updated, as with any propagated
-/// panic.
-///
-/// # Errors
-///
-/// Returns every panicking cell with its panic message, ascending by
-/// cell index.
-pub fn try_run_indexed<R, F>(n_cells: usize, threads: usize, f: F) -> Result<Vec<R>, PoolError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let slots = try_run_indexed_observed(n_cells, threads, &CancelToken::new(), f, |_, _| {})?;
-    // No cancellation and no error ⇒ every cell completed.
-    Ok(slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} never ran")))
-        .collect())
-}
-
-/// The streaming, cancellable core of the pool: runs the cells of
-/// `0..n_cells` on up to `threads` workers, invoking `observe(i, &r)`
-/// **on the worker thread** the moment cell `i` completes — the hook a
-/// checkpointing coordinator uses to stream results to disk in
-/// completion order — and stopping the dispatch of *new* cells once
-/// `cancel` is raised (in-flight cells drain and are still observed).
+/// The streaming, cancellable, profiled core of the pool: runs the
+/// cells of `0..n_cells` on up to `threads` workers, invoking
+/// `observe(i, &r)` **on the worker thread** the moment cell `i`
+/// completes — the hook a checkpointing coordinator uses to stream
+/// results to disk in completion order — and stopping the dispatch of
+/// *new* cells once `cancel` is raised (in-flight cells drain and are
+/// still observed).
 ///
 /// Returns one slot per cell: `Some(result)` for cells that ran,
 /// `None` for cells skipped because of cancellation. Without
 /// cancellation every slot is `Some`.
 ///
-/// A panic inside `f` *or* `observe` is recorded against the cell and
-/// the worker moves on; all such cells are reported together.
+/// All cells run to completion even when some panic: a panic inside
+/// `f` *or* `observe` is caught and recorded against the cell, and the
+/// worker moves on, so the error is a complete census of the poisoned
+/// cells — deterministic regardless of interleaving. The closures are
+/// wrapped in [`AssertUnwindSafe`]: a panicking cell may leave
+/// caller-owned shared state (atomics, mutexes) partially updated, as
+/// with any propagated panic.
 ///
-/// # Errors
-///
-/// Returns every panicking cell with its panic message, ascending by
-/// cell index.
-pub fn try_run_indexed_observed<R, F, O>(
-    n_cells: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    f: F,
-    observe: O,
-) -> Result<Vec<Option<R>>, PoolError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    O: Fn(usize, &R) + Sync,
-{
-    try_run_indexed_profiled(
-        n_cells,
-        threads,
-        cancel,
-        &NullClock,
-        f,
-        observe,
-        &PoolProfile::new(),
-    )
-}
-
-/// [`try_run_indexed_observed`] plus profiling: per-worker own/steal
-/// cell counts and — when `clock` reports time — per-cell durations,
-/// flushed into `profile`.
-///
-/// The profile is flushed by every worker before the run returns,
-/// **including when cells panic**: an `Err` still leaves `profile`
-/// holding the complete queue/steal census, so post-mortem traces of
-/// failed cells are never blind. Under the [`NullClock`] the per-cell
-/// timing overhead is two virtual calls per cell.
+/// Per-worker own/steal cell counts and — when `clock` reports time —
+/// per-cell durations are flushed into `profile` by every worker before
+/// the run returns, **including when cells panic**: an `Err` still
+/// leaves `profile` holding the complete queue/steal census, so
+/// post-mortem traces of failed cells are never blind. Under the
+/// [`NullClock`] the per-cell timing overhead is two virtual calls per
+/// cell.
 ///
 /// # Errors
 ///
@@ -529,6 +490,34 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// The core under the null clock with a throwaway profile.
+    fn run_core<R: Send>(
+        n_cells: usize,
+        threads: usize,
+        cancel: &CancelToken,
+        f: impl Fn(usize) -> R + Sync,
+        observe: impl Fn(usize, &R) + Sync,
+    ) -> Result<Vec<Option<R>>, PoolError> {
+        try_run_indexed_profiled(
+            n_cells,
+            threads,
+            cancel,
+            &NullClock,
+            f,
+            observe,
+            &PoolProfile::new(),
+        )
+    }
+
+    /// The core with no observer and no cancellation.
+    fn try_run<R: Send>(
+        n_cells: usize,
+        threads: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<Option<R>>, PoolError> {
+        run_core(n_cells, threads, &CancelToken::new(), f, |_, _| {})
+    }
+
     #[test]
     fn results_are_in_cell_order() {
         for threads in [1, 2, 3, 8] {
@@ -587,7 +576,7 @@ mod tests {
     #[test]
     fn try_run_reports_the_poisoned_cell() {
         for threads in [1, 2, 4] {
-            let err = try_run_indexed(8, threads, |i| {
+            let err = try_run(8, threads, |i| {
                 assert!(i != 5, "cell five is poisoned");
                 i * 10
             })
@@ -607,7 +596,7 @@ mod tests {
     #[test]
     fn try_run_collects_every_panicking_cell() {
         for threads in [1, 2, 4] {
-            let err = try_run_indexed(8, threads, |i| {
+            let err = try_run(8, threads, |i| {
                 assert!(i != 2 && i != 6, "cell {i} is poisoned");
                 i
             })
@@ -625,7 +614,7 @@ mod tests {
 
     #[test]
     fn try_run_reports_all_odd_cells() {
-        let err = try_run_indexed(16, 4, |i| assert!(i % 2 == 0, "odd cell {i}")).unwrap_err();
+        let err = try_run(16, 4, |i| assert!(i % 2 == 0, "odd cell {i}")).unwrap_err();
         assert_eq!(
             err.cells(),
             (0..16).filter(|i| i % 2 == 1).collect::<Vec<_>>()
@@ -635,14 +624,14 @@ mod tests {
 
     #[test]
     fn try_run_ok_matches_run_indexed() {
-        let a = try_run_indexed(23, 3, |i| i * i).unwrap();
+        let a = try_run(23, 3, |i| i * i).unwrap();
         let b = run_indexed(23, 3, |i| i * i);
-        assert_eq!(a, b);
+        assert_eq!(a, b.into_iter().map(Some).collect::<Vec<_>>());
     }
 
     #[test]
     fn string_panic_payloads_survive() {
-        let err = try_run_indexed(2, 1, |i| {
+        let err = try_run(2, 1, |i| {
             if i == 1 {
                 panic!("seed {} went bad", 42);
             }
@@ -655,7 +644,7 @@ mod tests {
     fn observer_sees_every_completion_exactly_once() {
         for threads in [1, 3] {
             let seen: Vec<AtomicUsize> = (0..33).map(|_| AtomicUsize::new(0)).collect();
-            let out = try_run_indexed_observed(
+            let out = run_core(
                 33,
                 threads,
                 &CancelToken::new(),
@@ -675,7 +664,7 @@ mod tests {
     fn cancellation_drains_without_new_dispatch() {
         let cancel = CancelToken::new();
         let started = AtomicUsize::new(0);
-        let out = try_run_indexed_observed(
+        let out = run_core(
             64,
             2,
             &cancel,
@@ -704,8 +693,7 @@ mod tests {
     fn cancelled_before_start_runs_nothing() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let out = try_run_indexed_observed(8, 3, &cancel, |_| unreachable!("cancelled"), |_, _| {})
-            .unwrap();
+        let out = run_core(8, 3, &cancel, |_| unreachable!("cancelled"), |_, _| {}).unwrap();
         assert!(out.iter().all(Option::is_none));
     }
 

@@ -5,8 +5,9 @@
 //! harness owns three things the hand-rolled experiment loops used to
 //! re-implement separately:
 //!
-//! 1. **Scheduling** — cells run on [`crate::pool::run_indexed`], so a
-//!    sweep uses every core but returns results in cell order.
+//! 1. **Scheduling** — cells run on
+//!    [`crate::pool::try_run_indexed_profiled`], so a sweep uses every
+//!    core but returns results in cell order.
 //! 2. **Seeding** — every cell gets a seed derived *only* from the sweep's
 //!    base seed and the cell index ([`cell_seed`]), never from thread
 //!    identity or timing. Running the same sweep with 1 thread or N
@@ -15,7 +16,8 @@
 //! 3. **Replayability** — `run_cell(i, f)` re-executes exactly the cell
 //!    the full run executed at index `i`, same seed, same configuration.
 //!
-//! On top of these, [`Sweep::try_run_where`] is the **checkpointing
+//! [`Sweep::try_run_where`] is the one dispatch core ([`Sweep::run`] is
+//! it over every cell, panicking on failure) and the **checkpointing
 //! hook** used by `consensus-controlplane`: it runs an arbitrary
 //! *subset* of the grid (the cells a checkpoint does not already
 //! cover), streams every completion to an observer the moment it
@@ -296,22 +298,24 @@ impl<C: Sync> Sweep<C> {
     }
 
     /// Runs every cell on the pool and returns the results in cell
-    /// order. The runner sees the cell configuration and its
-    /// [`CellCtx`]; it must not depend on anything else (global state,
-    /// time), or determinism is forfeit.
+    /// order: [`Sweep::try_run_where`] over every cell, with a fresh
+    /// [`CancelToken`] and no observer. The runner sees the cell
+    /// configuration and its [`CellCtx`]; it must not depend on
+    /// anything else (global state, time), or determinism is forfeit.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming every panicking cell and its replay seed.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&C, CellCtx) -> R + Sync,
     {
-        if self.trace.is_enabled() {
-            return self
-                .try_run(f)
-                .unwrap_or_else(|e| panic!("traced sweep failed: {e}"));
-        }
-        pool::run_indexed(self.cells.len(), self.threads, |i| {
-            f(&self.cells[i], self.ctx(i))
-        })
+        self.try_run_where(&vec![true; self.len()], &CancelToken::new(), f, |_, _| {})
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .map(|r| r.expect("no cancel token raised: every cell ran"))
+            .collect()
     }
 
     /// Runs cell `i` with a `cell` span around the runner when tracing
@@ -333,48 +337,8 @@ impl<C: Sync> Sweep<C> {
         }
     }
 
-    /// Like [`Sweep::run`], but panicking cells are reported as a
-    /// [`SweepError`] naming **every** bad cell *and its seed* instead
-    /// of tearing the whole sweep down — each entry is a ready-made
-    /// replay recipe for [`Sweep::run_cell`].
-    ///
-    /// # Errors
-    ///
-    /// Returns every panicking cell with its seed and panic message,
-    /// ascending by cell index.
-    pub fn try_run<R, F>(&self, f: F) -> Result<Vec<R>, SweepError>
-    where
-        R: Send,
-        F: Fn(&C, CellCtx) -> R + Sync,
-    {
-        if self.trace.is_enabled() {
-            let profile = PoolProfile::new();
-            let clock = self.trace.clock();
-            let res = pool::try_run_indexed_profiled(
-                self.cells.len(),
-                self.threads,
-                &CancelToken::new(),
-                &*clock,
-                |i| self.run_spanned(i, &f),
-                |_, _| {},
-                &profile,
-            );
-            emit_pool_profile(&self.trace, &profile);
-            return res.map_err(|e| self.enrich(e)).map(|packed| {
-                packed
-                    .into_iter()
-                    .map(|r| r.expect("no cancel token raised: every cell ran"))
-                    .collect()
-            });
-        }
-        pool::try_run_indexed(self.cells.len(), self.threads, |i| {
-            f(&self.cells[i], self.ctx(i))
-        })
-        .map_err(|e| self.enrich(e))
-    }
-
-    /// The checkpointing entry point: runs only the cells where
-    /// `todo[i]` is `true`, invoking `observe(i, &result)` **on the
+    /// The dispatch core, and the checkpointing entry point: runs only
+    /// the cells where `todo[i]` is `true`, invoking `observe(i, &result)` **on the
     /// worker thread** the moment cell `i` completes — completion
     /// order, not cell order — and stopping the dispatch of new cells
     /// once `cancel` is raised (in-flight cells drain and are still
@@ -388,7 +352,9 @@ impl<C: Sync> Sweep<C> {
     ///
     /// # Errors
     ///
-    /// Returns every panicking cell with its seed and panic message.
+    /// Returns every panicking cell with its seed and panic message,
+    /// ascending by cell index — each entry a ready-made replay recipe
+    /// for [`Sweep::run_cell`].
     ///
     /// # Panics
     ///
@@ -484,6 +450,14 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// [`Sweep::try_run_where`] over every cell, with no observer.
+    fn try_run_all<R: Send>(
+        sweep: &Sweep<u64>,
+        f: impl Fn(&u64, CellCtx) -> R + Sync,
+    ) -> Result<Vec<Option<R>>, SweepError> {
+        sweep.try_run_where(&vec![true; sweep.len()], &CancelToken::new(), f, |_, _| {})
+    }
+
     #[test]
     fn cell_seeds_are_decorrelated_and_pure() {
         let a = cell_seed(42, 0);
@@ -544,9 +518,7 @@ mod tests {
     #[test]
     fn try_run_surfaces_cell_and_seed() {
         let sweep = Sweep::new((0u64..12).collect()).seed(99).threads(3);
-        let err = sweep
-            .try_run(|&c, _ctx| assert!(c != 7, "bad cell payload"))
-            .unwrap_err();
+        let err = try_run_all(&sweep, |&c, _ctx| assert!(c != 7, "bad cell payload")).unwrap_err();
         let failures = err.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].cell, 7);
@@ -567,9 +539,10 @@ mod tests {
     #[test]
     fn try_run_lists_every_bad_cell_with_its_seed() {
         let sweep = Sweep::new((0u64..10).collect()).seed(7).threads(4);
-        let err = sweep
-            .try_run(|&c, _ctx| assert!(c != 3 && c != 8, "cell {c} poisoned"))
-            .unwrap_err();
+        let err = try_run_all(&sweep, |&c, _ctx| {
+            assert!(c != 3 && c != 8, "cell {c} poisoned")
+        })
+        .unwrap_err();
         let failures = err.failures();
         assert_eq!(
             failures.iter().map(|p| p.cell).collect::<Vec<_>>(),
@@ -585,9 +558,9 @@ mod tests {
     #[test]
     fn try_run_ok_matches_run() {
         let sweep = Sweep::new((0u64..9).collect()).seed(5).threads(4);
-        let a = sweep.try_run(|&c, ctx| (c, ctx.seed)).unwrap();
+        let a = try_run_all(&sweep, |&c, ctx| (c, ctx.seed)).unwrap();
         let b = sweep.run(|&c, ctx| (c, ctx.seed));
-        assert_eq!(a, b);
+        assert_eq!(a, b.into_iter().map(Some).collect::<Vec<_>>());
     }
 
     #[test]
@@ -691,7 +664,7 @@ mod tests {
             .seed(2)
             .threads(3)
             .trace(trace.clone());
-        let _ = sweep.try_run(|&c, _| c).unwrap();
+        let _ = try_run_all(&sweep, |&c, _| c).unwrap();
         let s = trace.merged();
         assert_eq!(
             s.counter_total("pool_worker_own") + s.counter_total("pool_worker_stolen"),

@@ -7,7 +7,7 @@
 //! the proptests here sample the rest.
 
 use consensus_bench::experiments::{
-    dynamic_spec, ensemble_spec, multidim_spec, run_dynamic, run_ensemble, run_multidim,
+    run_dynamic, run_ensemble, run_multidim, try_dynamic_spec, try_ensemble_spec, try_multidim_spec,
 };
 use consensus_bench::obswire::{enrich_report, trace_rounds_ensemble};
 use consensus_bench::orchestrate::run_grid;
@@ -21,7 +21,7 @@ proptest! {
     /// untraced run at the same (arbitrary) thread count.
     #[test]
     fn traced_run_equals_untraced_run(threads in 1u64..9) {
-        let spec = ensemble_spec("golden");
+        let spec = try_ensemble_spec("golden").expect("registered preset");
         let threads = usize::try_from(threads).expect("small");
         let plain = run_ensemble(&spec, Some(threads));
         let traced = run_grid(&spec, Some(threads), &TraceHandle::enabled());
@@ -34,7 +34,7 @@ proptest! {
     /// merged trace.
     #[test]
     fn content_stream_is_thread_count_invariant(threads in 2u64..9) {
-        let spec = ensemble_spec("golden");
+        let spec = try_ensemble_spec("golden").expect("registered preset");
         let threads = usize::try_from(threads).expect("small");
         let t1 = TraceHandle::enabled();
         let tn = TraceHandle::enabled();
@@ -55,7 +55,7 @@ proptest! {
 /// (span-level tracing only — round replay is ensemble-specific).
 #[test]
 fn multidim_and_dynamic_grids_trace_deterministically() {
-    let mspec = multidim_spec("golden");
+    let mspec = try_multidim_spec("golden").expect("registered preset");
     let plain = run_multidim(&mspec, Some(3));
     let t1 = TraceHandle::enabled();
     let tn = TraceHandle::enabled();
@@ -69,7 +69,7 @@ fn multidim_and_dynamic_grids_trace_deterministically() {
         to_jsonl_content(&tn.merged())
     );
 
-    let dspec = dynamic_spec("golden");
+    let dspec = try_dynamic_spec("golden").expect("registered preset");
     let plain = run_dynamic(&dspec, Some(3));
     let t1 = TraceHandle::enabled();
     let tn = TraceHandle::enabled();
