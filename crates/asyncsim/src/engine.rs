@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An asynchronous, message-driven algorithm with values in `R`
-/// (the paper's §8 statements are one-dimensional; see DESIGN.md).
+/// (the paper's §8 statements are one-dimensional).
 ///
 /// Determinism: `on_receive` must be a function of `(state, from, msg)`
 /// only.

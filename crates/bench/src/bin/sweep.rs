@@ -12,11 +12,11 @@
 //! cargo run --release -p consensus-bench --bin sweep -- [FLAGS]
 //!   --grid NAME     which experiment grid to run (see --list):
 //!                   ensemble (default) | multidim | dynamic_rates |
-//!                   adversary_search
+//!                   adversary_search | paper
 //!   --list          print the registered grids and exit
 //!   --golden        run the fixed CI preset of the selected grid
 //!   --quick         run the small smoke preset (for `ensemble` this
-//!                   also appends the multidim and dynamic tables)
+//!                   also appends every other grid's quick-preset table)
 //!   --full          run the large ensemble (default preset)
 //!   --preset NAME   select a preset by name (golden|quick|full); an
 //!                   unknown name is a clean error listing the valid set
@@ -53,7 +53,6 @@
 //!   --resume              resume an interrupted run from --checkpoint
 //!   --workers N           run cells in N spawned `sweep-worker` processes
 //!   --metrics-out PATH    write the end-of-run metrics JSON to PATH
-//!   --metrics-addr ADDR   serve live plaintext metrics on ADDR meanwhile
 //!   --stop-after N        stop dispatching after N cells (testing aid)
 //!   --cell-delay-ms MS    stretch every cell by MS ms (CI kill pacing)
 //!   --worker-fail-cells L inject worker failures for cells `a,b,c`
@@ -66,6 +65,7 @@
 //! sweep -- --grid multidim --quick --json          # ci/golden_multidim.json
 //! sweep -- --grid dynamic_rates --quick --json     # ci/golden_dynamic.json
 //! sweep -- --grid adversary_search --quick --json  # ci/golden_adversary.json
+//! sweep -- --grid paper --golden --json            # ci/golden_paper.json
 //! ```
 //!
 //! and the crash-resume gate is the same golden file reached the hard
@@ -83,11 +83,8 @@ use consensus_bench::cli::{cell_list, or_exit, parsed, usage_error, value};
 use consensus_bench::obswire::{self, TraceLevel};
 use consensus_bench::orchestrate::{AnySpec, GRID_REGISTRY};
 use consensus_bench::wallclock::WallClock;
-use tight_bounds_consensus::controlplane::{
-    self, serve_plaintext, Metrics, ProcessPool, RunConfig, WorkerSpawn,
-};
+use tight_bounds_consensus::controlplane::{self, Metrics, ProcessPool, RunConfig, WorkerSpawn};
 use tight_bounds_consensus::obs::{Clock, NullClock, TraceHandle, DEFAULT_RECORDER_CAP};
-use tight_bounds_consensus::pool::CancelToken;
 use tight_bounds_consensus::prelude::SweepReport;
 
 /// The control-plane side of the CLI: a checkpoint, worker processes,
@@ -98,7 +95,6 @@ struct ControlFlags {
     resume: bool,
     workers: Option<usize>,
     metrics_out: Option<String>,
-    metrics_addr: Option<String>,
     stop_after: Option<u64>,
     cell_delay_ms: u64,
     fail_cells: Vec<u64>,
@@ -154,7 +150,6 @@ impl ControlFlags {
             || self.resume
             || self.workers.is_some()
             || self.metrics_out.is_some()
-            || self.metrics_addr.is_some()
             || self.stop_after.is_some()
             || self.cell_delay_ms > 0
             || !self.fail_cells.is_empty()
@@ -186,8 +181,7 @@ fn run_sweep(
     seed: Option<u64>,
 ) -> (Option<SweepReport>, i32) {
     let plan = spec.plan(preset);
-    let metrics = Arc::new(Metrics::new());
-    let cancel = CancelToken::new();
+    let metrics = Metrics::new();
     let n_workers = cf.workers.unwrap_or(0);
     let cfg = RunConfig {
         threads: if n_workers > 0 {
@@ -198,23 +192,9 @@ fn run_sweep(
         checkpoint: cf.checkpoint.clone(),
         resume: cf.resume,
         stop_after: cf.stop_after,
-        cancel: cancel.clone(),
         trace: trace.clone(),
+        ..RunConfig::default()
     };
-    let server = cf.metrics_addr.as_deref().map(|addr| {
-        let s = serve_plaintext(
-            addr,
-            Arc::clone(&metrics),
-            n_workers as u64,
-            Arc::new(WallClock::new()),
-            trace.clone(),
-            cancel.clone(),
-        )
-        .expect("failed to bind --metrics-addr");
-        eprintln!("metrics: serving plaintext on http://{}/", s.addr);
-        s
-    });
-
     let start = Instant::now();
     let delay = Duration::from_millis(cf.cell_delay_ms);
     let result = if n_workers > 0 {
@@ -250,10 +230,6 @@ fn run_sweep(
     };
     let elapsed_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
 
-    cancel.cancel();
-    if let Some(s) = server {
-        s.join();
-    }
     if let Some(path) = &cf.metrics_out {
         let snap = metrics.snapshot(n_workers as u64);
         std::fs::write(path, snap.to_json(Some(elapsed_ms)))
@@ -326,7 +302,6 @@ fn main() {
                 cf.workers = Some(n.get());
             }
             "--metrics-out" => cf.metrics_out = Some(value(&mut it, flag, "a path").into()),
-            "--metrics-addr" => cf.metrics_addr = Some(value(&mut it, flag, "host:port").into()),
             "--stop-after" => cf.stop_after = Some(parsed(&mut it, flag, "a cell count")),
             "--cell-delay-ms" => cf.cell_delay_ms = parsed(&mut it, flag, "a number"),
             "--trace-out" => tf.out = Some(value(&mut it, flag, "a path").into()),
@@ -390,10 +365,10 @@ fn main() {
         }
         if preset == "quick" && !json_only {
             // The quick smoke run also exercises every other grid — the
-            // R^d separation, the averaging-rate table, and the adaptive
-            // adversary invariants at a glance. The --seed override
-            // applies to all of them, keeping the tables on the same
-            // base seed.
+            // R^d separation, the averaging-rate table, the adaptive
+            // adversary invariants and the paper's claims at a glance.
+            // The --seed override applies to all of them, keeping the
+            // tables on the same base seed.
             for (name, _) in GRID_REGISTRY.iter().filter(|(n, _)| *n != spec.grid_name()) {
                 let mut other = or_exit(AnySpec::resolve(name, "quick"));
                 if let Some(s) = seed {
@@ -405,8 +380,8 @@ fn main() {
         }
         if out_path.is_some() {
             table.push_str(
-                "\n(the written JSON covers the scalar ensemble only; for the multidim or \
-                 dynamic grids' JSON run with --grid multidim / --grid dynamic_rates --out)",
+                "\n(the written JSON covers the scalar ensemble only; for another grid's \
+                 JSON run it with --grid NAME --out)",
             );
         }
     }

@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use consensus_bench::cli::{usage_error, value};
 use consensus_bench::tablefmt::{rate, section, Table};
 use tight_bounds_consensus::obs::{parse_line, Class, EventKind, ParsedEvent};
 
@@ -43,7 +44,10 @@ fn lane_name(lane: u8) -> String {
 #[derive(Debug, Default)]
 struct Agg {
     count: u64,
-    sum: u64,
+    /// Counter total: a `u128` holds the sum of any number of `u64`
+    /// values this process can read (digest-valued counters such as
+    /// `cell_fingerprint` overflow a `u64` at once).
+    sum: u128,
     gauges: Vec<f64>,
     /// Open span begins keyed by `(shard, index)` → `t_ns`, and the
     /// accumulated closed-span duration.
@@ -57,7 +61,7 @@ impl Agg {
     fn feed(&mut self, e: &ParsedEvent) {
         self.count += 1;
         match e.kind {
-            EventKind::Counter => self.sum += e.value,
+            EventKind::Counter => self.sum += u128::from(e.value),
             EventKind::Gauge => self.gauges.push(e.value_f64()),
             EventKind::SpanBegin => {
                 self.open.insert((e.shard, e.index), e.t_ns);
@@ -87,29 +91,22 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--lane" => {
-                let v = it.next().expect("--lane needs a name");
+                let v = value(&mut it, "--lane", "a lane name");
                 lane_filter = Some(
                     LANES
                         .iter()
-                        .find(|(_, n)| n == v)
+                        .find(|(_, n)| *n == v)
                         .map(|(id, _)| *id)
-                        .unwrap_or_else(|| {
-                            eprintln!("--lane: unknown lane `{v}`");
-                            std::process::exit(2);
-                        }),
+                        .unwrap_or_else(|| usage_error(format!("--lane: unknown lane `{v}`"))),
                 );
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_owned()),
-            other => {
-                eprintln!("unknown flag `{other}` — usage: trace-report PATH [--lane NAME]");
-                std::process::exit(2);
-            }
+            other => usage_error(format!(
+                "unknown flag `{other}` — usage: trace-report PATH [--lane NAME]"
+            )),
         }
     }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("usage: trace-report PATH [--lane NAME]");
-        std::process::exit(2);
-    });
+    let path = path.unwrap_or_else(|| usage_error("usage: trace-report PATH [--lane NAME]"));
     let body = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("failed to read {path}: {e}");
         std::process::exit(1);

@@ -1,21 +1,14 @@
-//! The experiment runners, one per artefact of the paper.
-//!
-//! Every function returns a printable report with `paper` vs `measured`
-//! columns; see `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
-//! (recorded results) at the repository root.
+//! The scalar, multidimensional and dynamic-network experiment grids
+//! (`ensemble`, `multidim`, `dynamic_rates`), their presets and cell
+//! runners, and the helpers the other grids share. The paper's own
+//! claims are the `paper` grid ([`crate::paper`]).
 
 use tight_bounds_consensus::algorithms::diameter;
-use tight_bounds_consensus::approx;
-use tight_bounds_consensus::asyncsim::engine::{ConstantDelay, Simulation};
-use tight_bounds_consensus::asyncsim::min_relay::{cascade_crashes, MinRelay};
-use tight_bounds_consensus::asyncsim::na_adversary;
-use tight_bounds_consensus::digraph::render::{to_ascii, to_dot, RenderOptions};
 use tight_bounds_consensus::prelude::*;
 use tight_bounds_consensus::sweep::{fingerprint, EnsembleCell};
-use tight_bounds_consensus::valency::adversary::{AdversaryTrace, GreedyValencyAdversary};
 
 use crate::orchestrate::{run_grid, Grid};
-use crate::tablefmt::{check, interval, rate, section, Table};
+use crate::tablefmt::{check, rate, section, Table};
 
 /// Evenly spread initial values on `\[0, 1\]` for `n` agents.
 #[must_use]
@@ -23,776 +16,6 @@ pub fn spread_inits(n: usize) -> Vec<Point<1>> {
     (0..n)
         .map(|i| Point([i as f64 / (n - 1).max(1) as f64]))
         .collect()
-}
-
-/// A deterministic experiment cell: a closure producing one report row
-/// (or series). Boxed so heterogeneous algorithm/adversary combinations
-/// share one sweep.
-pub type Case<R> = Box<dyn Fn() -> R + Sync>;
-
-/// Fans an ordered case list out over the [`Sweep`] pool (all cores)
-/// and returns the results in case order. Cases are deterministic
-/// closures, so the report is identical at any thread count.
-fn run_cases<R: Send>(cases: Vec<Case<R>>) -> Vec<R> {
-    Sweep::new(cases).run(|case, _ctx| case())
-}
-
-fn drive_rate<A>(alg: A, adv: &GreedyValencyAdversary, inits: &[Point<1>], steps: usize) -> f64
-where
-    A: Algorithm<1> + Clone + Sync,
-    A::State: Sync,
-    A::Msg: Sync,
-{
-    let mut sc = Scenario::new(alg, inits).adversary(adv.driver());
-    sc.advance(steps * adv.block_len());
-    sc.driver().record().per_round_rate()
-}
-
-/// **E-T1 — Table 1**: the paper's summary of contraction-rate bounds,
-/// with a measured value for every cell.
-#[must_use]
-pub fn table1(quick: bool) -> String {
-    let steps = if quick { 8 } else { 12 };
-    let mut out = section("Table 1 — lower/upper bounds on contraction rates (paper vs measured)");
-
-    // --- Row n = 2. ---
-    let mut t = Table::new(&["cell", "paper", "measured", "witness", "ok"]);
-    let r = drive_rate(
-        TwoAgentThirds,
-        &adversary::theorem1(),
-        &spread_inits(2),
-        steps,
-    );
-    t.row(&[
-        "n=2, non-split {H0,H1,H2}".into(),
-        "1/3 (tight)".into(),
-        rate(r),
-        "Thm-1 adversary vs Algorithm 1".into(),
-        check((r - 1.0 / 3.0).abs() < 5e-3),
-    ]);
-    let two = NetworkModel::two_agent();
-    let d2 = alpha::alpha_diameter(&two).finite().expect("finite");
-    let r5 = drive_rate(
-        TwoAgentThirds,
-        &adversary::theorem5(&two),
-        &spread_inits(2),
-        steps,
-    );
-    t.row(&[
-        "n=2, α-diameter D=2 model".into(),
-        format!("1/(D+1) = {}", rate(1.0 / (d2 as f64 + 1.0))),
-        rate(r5),
-        "Thm-5 adversary (α-chains)".into(),
-        check(r5 >= 1.0 / (d2 as f64 + 1.0) - 5e-3),
-    ]);
-
-    // --- Row n ≥ 3, non-split (deaf). ---
-    for n in [3usize, 4, 6] {
-        let r = drive_rate(
-            Midpoint,
-            &adversary::theorem2(&Digraph::complete(n)),
-            &spread_inits(n),
-            steps,
-        );
-        t.row(&[
-            format!("n={n}, non-split (deaf(K_{n}))"),
-            "1/2 (tight)".into(),
-            rate(r),
-            "Thm-2 adversary vs midpoint".into(),
-            check((r - 0.5).abs() < 5e-3),
-        ]);
-    }
-
-    // --- Non-split with α-diameter D: 0 iff exact consensus solvable. ---
-    let solvable = NetworkModel::singleton(Digraph::complete(4));
-    let solv = beta::exact_consensus_solvable(&solvable);
-    let mut exec = Execution::new(Midpoint, &spread_inits(4));
-    exec.step(&Digraph::complete(4));
-    t.row(&[
-        "n=4, exact-solvable model {K_4}".into(),
-        "0 (exact consensus)".into(),
-        rate(if exec.value_diameter() < 1e-12 {
-            0.0
-        } else {
-            1.0
-        }),
-        "midpoint agrees in 1 round".into(),
-        check(solv && exec.value_diameter() < 1e-12),
-    ]);
-    let deaf4 = NetworkModel::deaf(&Digraph::complete(4));
-    let d_deaf = alpha::alpha_diameter(&deaf4).finite().expect("finite");
-    t.row(&[
-        "n=4, unsolvable, D=1 (deaf)".into(),
-        "1/(D+1) = 0.5000".into(),
-        rate(drive_rate(
-            Midpoint,
-            &adversary::theorem5(&deaf4),
-            &spread_inits(4),
-            steps,
-        )),
-        format!("Thm-5 adversary, D={d_deaf}"),
-        check(d_deaf == 1),
-    ]);
-
-    // --- Row general rooted (Ψ). ---
-    // Lower bound: the σ-adversary's valency estimate must keep
-    // δ̂ ≥ δ̂₀/2 per macro-round. Upper bound: the amortized midpoint's
-    // *value* spread halves per n−1 rounds under any rooted pattern —
-    // extract the rate at the last adversary-recorded round aligned
-    // with a macro-round boundary (t ≡ 0 mod n−1) to avoid the
-    // partial-period remainder.
-    for n in [4usize, 6] {
-        let lo = bounds::theorem3_lower(n);
-        let hi = bounds::amortized_midpoint_upper(n);
-        let steps3 = if quick { 6 } else { 10 };
-        let adv3 = adversary::theorem3(n);
-        let mut sc = Scenario::new(AmortizedMidpoint::for_agents(n), &spread_inits(n))
-            .adversary(adv3.driver());
-        sc.advance(steps3 * adv3.block_len());
-        let tr = sc.driver().record();
-        let adv_rate = tr.per_round_rate();
-        let aligned = (1..tr.value_diameters.len())
-            .rev()
-            .map(|k| (k * (n - 2), tr.value_diameters[k]))
-            .find(|(t, _)| t % (n - 1) == 0)
-            .expect("some block end aligns with a macro-round");
-        let alg_rate = (aligned.1 / tr.value_diameters[0]).powf(1.0 / aligned.0 as f64);
-        t.row(&[
-            format!("n={n}, rooted (Ψ graphs)"),
-            interval(lo, hi),
-            format!("δ̂:{} Δ:{}", rate(adv_rate), rate(alg_rate)),
-            "Thm-3 σ-adversary vs amortized midpoint".into(),
-            check(adv_rate >= lo - 1e-2 && alg_rate <= hi + 1e-6),
-        ]);
-    }
-
-    // --- Async round-based (f < n/2). ---
-    for (n, f) in [(4usize, 1usize), (6, 2), (8, 3)] {
-        let (lo, hi) = bounds::table1_async_interval(n, f);
-        let trace = Scenario::new(MeanValue, &na_adversary::bipolar_inits(n))
-            .adversary(na_adversary::SplitOmission::new(f))
-            .run(20);
-        let r = trace.rates().steady_state;
-        t.row(&[
-            format!("async n={n}, f={f}, round-based"),
-            interval(lo, hi),
-            rate(r),
-            "split-omission vs mean (Fekete-style)".into(),
-            check(r >= lo - 1e-9),
-        ]);
-    }
-
-    // --- Async arbitrary algorithms: contraction 0 by time f + 1. ---
-    for (n, f) in [(4usize, 1usize), (6, 2)] {
-        let mut inits = vec![1.0; n];
-        inits[0] = 0.0;
-        let mut sim = Simulation::new(
-            MinRelay,
-            &inits,
-            f,
-            Box::new(ConstantDelay::new(1.0)),
-            cascade_crashes(n, f),
-        );
-        sim.run_until(f as f64 + 1.0 + 1e-9);
-        let d = sim.correct_diameter();
-        t.row(&[
-            format!("async n={n}, f={f}, arbitrary alg"),
-            "0 (by time f+1)".into(),
-            rate(d),
-            "MinRelay under cascading crashes".into(),
-            check(d == 0.0),
-        ]);
-    }
-
-    out.push_str(&t.render());
-    out
-}
-
-/// **E-F1/E-F2 — Figures 1 and 2**: the witness communication graphs,
-/// re-rendered and property-checked.
-#[must_use]
-pub fn figures() -> String {
-    let mut out = section("Figure 1 — the rooted two-agent graphs H0, H1, H2");
-    let [h0, h1, h2] = families::two_agent();
-    for (name, g) in [("H0", &h0), ("H1", &h1), ("H2", &h2)] {
-        out.push_str(&format!(
-            "{name}: rooted={} non-split={} deaf-agent={:?}\n",
-            g.is_rooted(),
-            g.is_nonsplit(),
-            (0..2).find(|&i| g.is_deaf(i)).map(|i| i + 1)
-        ));
-        out.push_str(&to_ascii(g, &RenderOptions::named(name)));
-    }
-    let two = NetworkModel::two_agent();
-    out.push_str(&format!(
-        "α-diameter of {{H0,H1,H2}} = {} (paper: 2) {}\n",
-        alpha::alpha_diameter(&two),
-        check(alpha::alpha_diameter(&two) == alpha::AlphaDiameter::Finite(2)),
-    ));
-    out.push_str("\nDOT (paper layout):\n");
-    out.push_str(&to_dot(&h1, &RenderOptions::named("H1")));
-
-    out.push_str(&section("Figure 2 — the rooted graph Ψ_i for n = 6"));
-    let n = 6;
-    for i in 0..3 {
-        let g = families::psi(n, i);
-        out.push_str(&format!(
-            "Ψ_{} (deaf agent {}): rooted={} roots={{{}}}\n",
-            i + 1,
-            i + 1,
-            g.is_rooted(),
-            i + 1
-        ));
-        out.push_str(&to_ascii(&g, &RenderOptions::default()));
-    }
-    // Lemma 14 executable check (midpoint states = outputs): for every
-    // prefix length k ∈ [n−2], σ^k_1.C and σ^k_2.C are indistinguishable
-    // to agent ℓ = 3 and to agents m ∈ {k+3, …, n} (1-based).
-    let inits = spread_inits(n);
-    let apply_sigma_prefix = |i: usize, k: usize| {
-        let mut e = Execution::new(Midpoint, &inits);
-        let g = families::psi(n, i);
-        for _ in 0..k {
-            e.step(&g);
-        }
-        e.outputs()
-    };
-    let mut indist = true;
-    for k in 1..=(n - 2) {
-        let s1 = apply_sigma_prefix(0, k);
-        let s2 = apply_sigma_prefix(1, k);
-        indist &= s1[2] == s2[2]; // ℓ = 3 (0-based 2)
-        for m in (k + 2)..n {
-            indist &= s1[m] == s2[m]; // paper m ∈ {k+3, …, n}
-        }
-    }
-    out.push_str(&format!(
-        "\nLemma 14 check (midpoint): σ^k_1.C ~ σ^k_2.C for agent 3 and all\n\
-         agents m ∈ {{k+3..n}}, every prefix k ∈ [n−2] {}\n",
-        check(indist)
-    ));
-    out.push_str(&to_dot(&families::psi(6, 0), &RenderOptions::named("Psi1")));
-    out
-}
-
-/// **E-THM1/2/3 — contraction-rate detail**: each theorem's adversary
-/// against several algorithms (optimal, averaging, non-convex). Each
-/// (theorem, algorithm) pair is one sweep cell, executed in parallel.
-#[must_use]
-pub fn contraction_rates(quick: bool) -> String {
-    type Row = [String; 5];
-    let steps = if quick { 8 } else { 12 };
-    let steps3 = if quick { 5 } else { 8 };
-
-    /// One Theorem-1 cell (the adversary is rebuilt inside the cell, so
-    /// the closure captures only plain data).
-    fn thm1<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync + 'static>(
-        name: &'static str,
-        alg: A,
-        steps: usize,
-    ) -> Case<Row> {
-        Box::new(move || {
-            let r = drive_rate(alg.clone(), &adversary::theorem1(), &spread_inits(2), steps);
-            [
-                "Thm 1 (n=2)".into(),
-                name.into(),
-                "≥ 1/3".into(),
-                rate(r),
-                check(r >= 1.0 / 3.0 - 5e-3),
-            ]
-        })
-    }
-
-    /// One Theorem-2 cell on deaf(K_4).
-    fn thm2<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync + 'static>(
-        name: &'static str,
-        alg: A,
-        steps: usize,
-    ) -> Case<Row> {
-        Box::new(move || {
-            let adv = adversary::theorem2(&Digraph::complete(4));
-            let r = drive_rate(alg.clone(), &adv, &spread_inits(4), steps);
-            [
-                "Thm 2 (deaf(K_4))".into(),
-                name.into(),
-                "≥ 1/2".into(),
-                rate(r),
-                check(r >= 0.5 - 5e-3),
-            ]
-        })
-    }
-
-    /// One Theorem-3 cell on Ψ(n), amortized midpoint or plain midpoint.
-    fn thm3(n: usize, amortized: bool, steps: usize) -> Case<Row> {
-        Box::new(move || {
-            let lo = bounds::theorem3_lower(n);
-            let adv = adversary::theorem3(n);
-            let (name, bound_label, r) = if amortized {
-                (
-                    "amortized midpoint".to_owned(),
-                    format!("≥ (1/2)^(1/{}) = {}", n - 2, rate(lo)),
-                    drive_rate(
-                        AmortizedMidpoint::for_agents(n),
-                        &adv,
-                        &spread_inits(n),
-                        steps,
-                    ),
-                )
-            } else {
-                (
-                    "midpoint".to_owned(),
-                    format!("≥ {}", rate(lo)),
-                    drive_rate(Midpoint, &adv, &spread_inits(n), steps),
-                )
-            };
-            [
-                format!("Thm 3 (Ψ, n={n})"),
-                name,
-                bound_label,
-                rate(r),
-                check(r >= lo - 1e-2),
-            ]
-        })
-    }
-
-    let mut cases: Vec<Case<Row>> = vec![
-        thm1("two-agent-thirds (optimal)", TwoAgentThirds, steps),
-        thm1("midpoint", Midpoint, steps),
-        thm1("mean-value", MeanValue, steps),
-        thm1("overshoot(0.4)", Overshoot::new(0.4), steps),
-        thm2("midpoint (optimal)", Midpoint, steps),
-        thm2("mean-value", MeanValue, steps),
-        thm2("windowed-midpoint(3)", WindowedMidpoint::new(3), steps),
-        thm2("overshoot(0.6)", Overshoot::new(0.6), steps),
-        thm2("self-weighted(0.5)", SelfWeightedAverage::new(0.5), steps),
-    ];
-    for n in [4usize, 5, 6] {
-        cases.push(thm3(n, true, steps3));
-        cases.push(thm3(n, false, steps3));
-    }
-
-    let mut out = section("Theorems 1–3 — adversarial contraction rates by algorithm");
-    let mut t = Table::new(&["theorem", "algorithm", "paper bound", "measured", "ok"]);
-    for row in run_cases(cases) {
-        t.row(&row);
-    }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nnote: the optimal algorithm meets its bound exactly; averaging is strictly\n\
-         slower (its worst case is 1 − 1/n, see [7]); memory (windowed) and\n\
-         non-convexity (overshoot) do not beat the bounds — the paper's headline.\n",
-    );
-    out
-}
-
-/// **E-THM45 — α-diameter & solvability report** for every analysable
-/// model, plus Lemma 24 chain certificates for large `N_A(n, f)`. The
-/// per-model analyses and the chain certificates are independent sweep
-/// cells (β-class enumeration is the dominant cost, and embarrassingly
-/// parallel across models).
-#[must_use]
-pub fn alpha_diameter_report() -> String {
-    let models: Vec<NetworkModel> = vec![
-        NetworkModel::two_agent(),
-        NetworkModel::deaf(&Digraph::complete(3)),
-        NetworkModel::deaf(&Digraph::complete(4)),
-        NetworkModel::deaf(&Digraph::complete(6)),
-        NetworkModel::psi(5),
-        NetworkModel::psi(6),
-        NetworkModel::singleton(Digraph::complete(4)),
-        NetworkModel::all_rooted(2),
-        NetworkModel::all_rooted(3),
-        NetworkModel::all_nonsplit(3),
-        NetworkModel::async_crash(3, 1),
-        NetworkModel::async_crash(4, 1),
-    ];
-    let model_rows = Sweep::new(models).run(|m, _ctx| {
-        let rep = beta::analyze(m);
-        let d = alpha::alpha_diameter(m);
-        [
-            m.name().to_owned(),
-            m.len().to_string(),
-            rep.asymptotic_solvable.to_string(),
-            rep.exact_solvable.to_string(),
-            rep.beta_class_sizes.len().to_string(),
-            d.to_string(),
-            if rep.exact_solvable {
-                "0 (exact)".to_owned()
-            } else {
-                rate(d.theorem5_bound())
-            },
-        ]
-    });
-
-    let chain_lines =
-        Sweep::new(vec![(6usize, 2usize), (8, 3), (12, 4), (16, 5)]).run(|&(n, f), _ctx| {
-            let g = Digraph::complete(n);
-            let mut h = Digraph::complete(n);
-            for i in 0..n {
-                h.remove_edge((i + 1) % n, i); // drop one non-self edge per agent
-            }
-            let q = alpha::lemma24_chain_check(&g, &h, f).expect("chain certifies");
-            format!(
-                "  N_A({n},{f}): certified chain of length {q} = ⌈n/f⌉ {}\n",
-                check(q == n.div_ceil(f))
-            )
-        });
-
-    let mut out = section("Theorems 4/5 & §7 — solvability, β-classes and α-diameter");
-    let mut t = Table::new(&[
-        "model",
-        "|N|",
-        "rooted",
-        "exact-solvable",
-        "β-classes",
-        "α-diam D",
-        "Thm-5 bound",
-    ]);
-    for row in &model_rows {
-        t.row(row);
-    }
-    out.push_str(&t.render());
-
-    out.push_str("\nLemma 24 certificates (D ≤ ⌈n/f⌉ for N_A(n,f), checked step-by-step):\n");
-    for line in &chain_lines {
-        out.push_str(line);
-    }
-    out
-}
-
-/// **E-THM8-11 — decision-time series** for approximate consensus.
-/// The (theorem × Δ/ε) grid is a sweep: every cell builds its adversary
-/// and scenario from scratch, so all cells run in parallel.
-#[must_use]
-pub fn decision_times(quick: bool) -> String {
-    type Row = [String; 6];
-    let ratios: Vec<f64> = if quick {
-        vec![1e1, 1e2, 1e3]
-    } else {
-        vec![1e1, 1e2, 1e3, 1e4, 1e5]
-    };
-
-    fn thm8(r: f64) -> Case<Row> {
-        Box::new(move || {
-            let eps = 1.0 / r;
-            let adv = adversary::theorem1();
-            let m = Scenario::new(TwoAgentThirds, &spread_inits(2))
-                .adversary(adv.driver())
-                .decide(eps)
-                .decision_round(80);
-            let lbd = approx::rules::thm8_lower_bound(1.0, eps);
-            let upper = approx::rules::two_agent_decision_round(1.0, eps);
-            [
-                "Thm 8 (n=2)".into(),
-                format!("{r:.0}"),
-                format!("{lbd:.2}"),
-                m.map_or("-".into(), |v| v.to_string()),
-                upper.to_string(),
-                check(m == Some(upper)),
-            ]
-        })
-    }
-
-    fn thm9(r: f64) -> Case<Row> {
-        Box::new(move || {
-            let eps = 1.0 / r;
-            let adv = adversary::theorem2(&Digraph::complete(3));
-            let m = Scenario::new(Midpoint, &spread_inits(3))
-                .adversary(adv.driver())
-                .decide(eps)
-                .decision_round(80);
-            let lbd = approx::rules::thm9_lower_bound(1.0, eps);
-            let upper = approx::rules::midpoint_decision_round(1.0, eps);
-            [
-                "Thm 9 (deaf)".into(),
-                format!("{r:.0}"),
-                format!("{lbd:.2}"),
-                m.map_or("-".into(), |v| v.to_string()),
-                upper.to_string(),
-                check(m == Some(upper)),
-            ]
-        })
-    }
-
-    fn thm10(r: f64) -> Case<Row> {
-        Box::new(move || {
-            let eps = 1.0 / r;
-            let n = 5;
-            let adv = adversary::theorem3(n);
-            let m = Scenario::new(AmortizedMidpoint::for_agents(n), &spread_inits(n))
-                .adversary(adv.driver())
-                .decide(eps)
-                .decision_round(400);
-            let lbd = approx::rules::thm10_lower_bound(n, 1.0, eps);
-            let upper = approx::rules::amortized_decision_round(n, 1.0, eps);
-            // Measured T is reported at σ-block granularity (blocks of
-            // n−2 rounds), so allow one block of slack above the upper
-            // formula.
-            let slack = (n - 2) as u64;
-            [
-                format!("Thm 10 (Ψ, n={n})"),
-                format!("{r:.0}"),
-                format!("{lbd:.2}"),
-                m.map_or("-".into(), |v| v.to_string()),
-                upper.to_string(),
-                check(
-                    m.is_some_and(|v| (v as f64) >= lbd - (n as f64 - 2.0) && v <= upper + slack),
-                ),
-            ]
-        })
-    }
-
-    fn thm11(r: f64) -> Case<Row> {
-        Box::new(move || {
-            let eps = 1.0 / r;
-            let two = NetworkModel::two_agent();
-            let d = alpha::alpha_diameter(&two).finite().expect("finite");
-            let adv = adversary::theorem5(&two);
-            let m = Scenario::new(TwoAgentThirds, &spread_inits(2))
-                .adversary(adv.driver())
-                .decide(eps)
-                .decision_round(80);
-            let lbd = approx::rules::thm11_lower_bound(d, 2, 1.0, eps);
-            [
-                "Thm 11 (D=2)".into(),
-                format!("{r:.0}"),
-                format!("{lbd:.2}"),
-                m.map_or("-".into(), |v| v.to_string()),
-                "-".into(),
-                check(m.is_some_and(|v| v as f64 >= lbd - 1e-9)),
-            ]
-        })
-    }
-
-    // The ratio-major (Δ/ε × theorem) grid, via the generic product
-    // helper so row order matches the paper's series layout.
-    let builders: [fn(f64) -> Case<Row>; 4] = [thm8, thm9, thm10, thm11];
-    let cases: Vec<Case<Row>> = tight_bounds_consensus::sweep::cartesian2(&ratios, &builders)
-        .into_iter()
-        .map(|(r, build)| build(r))
-        .collect();
-
-    let mut out = section("Theorems 8–11 — decision times for approximate consensus");
-    let mut t = Table::new(&[
-        "setting",
-        "Δ/ε",
-        "lower bound",
-        "measured T",
-        "matching alg. T",
-        "ok",
-    ]);
-    for row in run_cases(cases) {
-        t.row(&row);
-    }
-    out.push_str(&t.render());
-    out.push_str("\nmeasured T = first adversarial round with spread ≤ ε (deciding earlier\nwould violate ε-agreement); Thm-10 rows are at σ-block granularity.\n");
-    out
-}
-
-/// **E-THM6/7 — the price of rounds** in asynchronous systems with
-/// crashes.
-#[must_use]
-pub fn async_price_of_rounds(quick: bool) -> String {
-    let rounds = if quick { 16 } else { 24 };
-    let mut out = section("Theorems 6–7 — asynchronous systems with crashes");
-    let mut t = Table::new(&[
-        "n",
-        "f",
-        "paper interval (round-based)",
-        "mean (worst)",
-        "midpoint (worst)",
-        "ok",
-    ]);
-    for (n, f) in [(4usize, 1usize), (6, 1), (6, 2), (8, 2), (8, 3)] {
-        let (lo, hi) = bounds::table1_async_interval(n, f);
-        let mean_rate = Scenario::new(MeanValue, &na_adversary::bipolar_inits(n))
-            .adversary(na_adversary::SplitOmission::new(f))
-            .run(rounds)
-            .rates()
-            .steady_state;
-        let mid_rate = Scenario::new(Midpoint, &na_adversary::minority_inits(n, f))
-            .adversary(na_adversary::IsolateMinority::new(f))
-            .run(rounds)
-            .rates()
-            .steady_state;
-        t.row(&[
-            n.to_string(),
-            f.to_string(),
-            interval(lo, hi),
-            rate(mean_rate),
-            rate(mid_rate),
-            check(mean_rate >= lo - 1e-9 && (mid_rate - 0.5).abs() < 1e-6),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nround-based: the mean rule's worst case is f/(n−f), which equals the\n\
-         paper's upper end 1/(⌈n/f⌉−1) exactly when f divides n (rows 4/1, 6/1,\n\
-         6/2, 8/2); for f ∤ n (row 8/3) plain averaging is slightly slower and\n\
-         the exact upper end needs Fekete's full construction [18]. No schedule\n\
-         can beat the Theorem 6 floor 1/(⌈n/f⌉+1); midpoint is pinned at 1/2 —\n\
-         averaging wins, matching Table 1's shape.\n",
-    );
-
-    out.push_str("\nTheorem 7 (general algorithms — MinRelay):\n");
-    let mut t = Table::new(&[
-        "n",
-        "f",
-        "spread @ t=f+1/2",
-        "spread @ t=f+1",
-        "paper",
-        "ok",
-    ]);
-    for (n, f) in [(4usize, 1usize), (6, 2), (8, 3)] {
-        let mut inits = vec![1.0; n];
-        inits[0] = 0.0;
-        let run = |horizon: f64| {
-            let mut sim = Simulation::new(
-                MinRelay,
-                &inits,
-                f,
-                Box::new(ConstantDelay::new(1.0)),
-                cascade_crashes(n, f),
-            );
-            sim.run_until(horizon);
-            sim.correct_diameter()
-        };
-        let before = run(f as f64 + 0.5);
-        let at = run(f as f64 + 1.0 + 1e-9);
-        t.row(&[
-            n.to_string(),
-            f.to_string(),
-            format!("{before:.1}"),
-            format!("{at:.1}"),
-            "0 at f+1 (tight)".into(),
-            check(at == 0.0 && before > 0.0),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// **E-ABL1/2 — ablations**: can non-convexity (overshoot), memory
-/// (windowed midpoint) or mass-conservation (mass splitting) beat the
-/// bounds? (No — the paper's central claim.)
-#[must_use]
-pub fn ablation(quick: bool) -> String {
-    let steps = if quick { 6 } else { 10 };
-    let mut out = section("Ablations — the bounds hold for arbitrary algorithms (§1)");
-    let mut t = Table::new(&["family", "parameter", "measured rate (Thm-2 adv.)", "≥ 1/2"]);
-    let i4 = spread_inits(4);
-    for kappa in [0.0, 0.2, 0.4, 0.6, 0.8] {
-        let adv = adversary::theorem2(&Digraph::complete(4));
-        let r = drive_rate(Overshoot::new(kappa), &adv, &i4, steps);
-        t.row(&[
-            "overshoot (non-convex)".into(),
-            format!("κ = {kappa}"),
-            rate(r),
-            check(r >= 0.5 - 5e-3),
-        ]);
-    }
-    for w in [1usize, 2, 4, 8] {
-        let adv = adversary::theorem2(&Digraph::complete(4));
-        let r = drive_rate(WindowedMidpoint::new(w), &adv, &i4, steps);
-        t.row(&[
-            "windowed midpoint (memory)".into(),
-            format!("w = {w}"),
-            rate(r),
-            check(r >= 0.5 - 5e-3),
-        ]);
-    }
-    out.push_str(&t.render());
-
-    // Mass splitting on a fixed regular graph: converges to the average
-    // (non-convex route to asymptotic consensus on a fixed topology).
-    let g = families::cycle(5);
-    let alg = MassSplitting::new(&g);
-    let inits = spread_inits(5);
-    let mut sc = Scenario::new(alg, &inits)
-        .pattern(pattern::ConstantPattern::new(g))
-        .until_converged(1e-9);
-    let trace = sc.run(2000);
-    let avg = inits.iter().map(|p| p[0]).sum::<f64>() / 5.0;
-    let got = sc.execution().outputs_slice()[0][0];
-    out.push_str(&format!(
-        "\nmass splitting on the fixed 5-cycle (out-degree regular): converged in {} rounds\n\
-         to {:.6} (true average {:.6}) {} — a non-convex-combination algorithm that\n\
-         solves asymptotic consensus on a fixed graph, as §1 describes; its validity\n\
-         violations are demonstrated in the unit tests.\n",
-        trace.rounds(),
-        got,
-        avg,
-        check((got - avg).abs() < 1e-6)
-    ));
-    out
-}
-
-/// **E-CURVES — contraction curves**: the per-round series `δ̂(C_t)` and
-/// `Δ(y(t))` under each theorem's adversary, printed as plot-ready
-/// columns (the paper states these as formulas; the curves make the
-/// geometric decay visible).
-#[must_use]
-pub fn convergence_curves(quick: bool) -> String {
-    let steps = if quick { 10 } else { 16 };
-    let blocks3 = if quick { 5 } else { 8 };
-    let n = 6;
-
-    // The three adversarial drives are independent — one sweep cell each.
-    let drives: Vec<Case<AdversaryTrace>> = vec![
-        Box::new(move || {
-            let adv = adversary::theorem1();
-            let mut s = Scenario::new(TwoAgentThirds, &spread_inits(2)).adversary(adv.driver());
-            s.advance(steps);
-            s.driver().record().clone()
-        }),
-        Box::new(move || {
-            let adv = adversary::theorem2(&Digraph::complete(4));
-            let mut s = Scenario::new(Midpoint, &spread_inits(4)).adversary(adv.driver());
-            s.advance(steps);
-            s.driver().record().clone()
-        }),
-        Box::new(move || {
-            let adv = adversary::theorem3(n);
-            let mut s = Scenario::new(AmortizedMidpoint::for_agents(n), &spread_inits(n))
-                .adversary(adv.driver());
-            s.advance(blocks3 * adv.block_len());
-            s.driver().record().clone()
-        }),
-    ];
-    let mut traces = run_cases(drives);
-    let tr3 = traces.pop().expect("three drives");
-    let tr2 = traces.pop().expect("three drives");
-    let tr1 = traces.pop().expect("three drives");
-
-    let mut out = section("Contraction curves — δ̂ and Δ per round under the proof adversaries");
-
-    let mut t = Table::new(&["round", "Thm1 δ̂", "Thm1 (1/3)^t", "Thm2 δ̂", "Thm2 (1/2)^t"]);
-    for k in 0..=steps {
-        t.row(&[
-            k.to_string(),
-            format!("{:.3e}", tr1.deltas[k]),
-            format!("{:.3e}", tr1.deltas[0] / 3f64.powi(k as i32)),
-            format!("{:.3e}", tr2.deltas[k]),
-            format!("{:.3e}", tr2.deltas[0] / 2f64.powi(k as i32)),
-        ]);
-    }
-    out.push_str(&t.render());
-
-    // Amortized midpoint under σ-blocks: value spread staircase.
-    let mut t = Table::new(&["σ-block (×4 rounds)", "δ̂ (valency)", "Δ (values)"]);
-    for k in 0..tr3.deltas.len() {
-        t.row(&[
-            k.to_string(),
-            format!("{:.3e}", tr3.deltas[k]),
-            format!("{:.3e}", tr3.value_diameters[k]),
-        ]);
-    }
-    out.push_str("\nTheorem 3 (Ψ, n = 6): staircase of the amortized midpoint —\n");
-    out.push_str(&t.render());
-    out.push_str(
-        "\nδ̂ decays geometrically at the bound rate; Δ follows in steps of the\nalgorithm's macro-rounds (values only move every n−1 rounds).\n",
-    );
-    out
 }
 
 /// Configuration of an **E-SWEEP ensemble sweep** (the `sweep` bin's
@@ -820,8 +43,8 @@ pub struct EnsembleSpec {
 pub enum SpecError {
     /// The preset name is not registered for the selected grid.
     UnknownPreset {
-        /// Which grid's preset table rejected the name
-        /// (`"ensemble"`, `"multidim"`, or `"dynamic"`).
+        /// Which grid's preset table rejected the name (`"ensemble"`,
+        /// `"multidim"`, `"dynamic"`, `"adversary_search"` or `"paper"`).
         grid: &'static str,
         /// The rejected preset name.
         got: String,
@@ -1395,14 +618,6 @@ impl Grid<2> for MultidimSpec {
     }
 }
 
-/// **E-MULTIDIM — multidimensional decision times**: runs the named
-/// preset through the sweep pool and renders the separation table.
-#[must_use]
-pub fn multidim_decision_times(quick: bool) -> String {
-    let spec = try_multidim_spec(if quick { "quick" } else { "full" }).expect("registered preset");
-    spec.table(&run_multidim(&spec, None))
-}
-
 /// Configuration of the **E-DYNET `dynamic_rates`** experiment grid
 /// (arXiv:1408.0620): averaging-rate ensembles under structured
 /// dynamic-network adversaries — T-interval connectivity,
@@ -1681,84 +896,14 @@ impl Grid<1> for DynamicSpec {
     }
 }
 
-/// **E-DYNET — dynamic-network averaging rates**: runs the named preset
-/// through the sweep pool and renders the per-kind table.
-#[must_use]
-pub fn dynamic_rates_report(quick: bool) -> String {
-    let spec = try_dynamic_spec(if quick { "quick" } else { "full" }).expect("registered preset");
-    spec.table(&run_dynamic(&spec, None))
-}
-
-/// Everything, in paper order (what `cargo bench` prints).
-#[must_use]
-pub fn full_report(quick: bool) -> String {
-    let mut s = String::new();
-    s.push_str(&figures());
-    s.push_str(&table1(quick));
-    s.push_str(&contraction_rates(quick));
-    s.push_str(&alpha_diameter_report());
-    s.push_str(&decision_times(quick));
-    s.push_str(&multidim_decision_times(quick));
-    s.push_str(&dynamic_rates_report(quick));
-    s.push_str(&async_price_of_rounds(quick));
-    s.push_str(&ablation(quick));
-    s.push_str(&convergence_curves(quick));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn table1_has_no_mismatches() {
-        let s = table1(true);
-        assert!(!s.contains("MISMATCH"), "{s}");
-    }
-
-    #[test]
-    fn figures_render_and_check() {
-        let s = figures();
-        assert!(s.contains("α-diameter"));
-        assert!(!s.contains("MISMATCH"), "{s}");
-    }
-
-    #[test]
-    fn alpha_report_consistent() {
-        let s = alpha_diameter_report();
-        assert!(!s.contains("MISMATCH"), "{s}");
-        assert!(s.contains("N_A(3,1)"));
-    }
-
-    #[test]
-    fn ablation_never_beats_bound() {
-        let s = ablation(true);
-        assert!(!s.contains("MISMATCH"), "{s}");
-    }
-
-    #[test]
-    fn swept_contraction_rates_have_no_mismatches() {
-        let s = contraction_rates(true);
-        assert!(!s.contains("MISMATCH"), "{s}");
-        assert!(s.contains("Thm 3 (Ψ, n=6)"), "all theorem rows present");
-    }
-
-    #[test]
-    fn swept_decision_times_have_no_mismatches() {
-        let s = decision_times(true);
-        assert!(!s.contains("MISMATCH"), "{s}");
-    }
-
-    #[test]
-    fn swept_curves_render_all_sections() {
-        let s = convergence_curves(true);
-        assert!(s.contains("Thm1 δ̂"));
-        assert!(s.contains("σ-block"));
-    }
-
-    #[test]
     fn multidim_quick_grid_separates_and_is_clean() {
-        let s = multidim_decision_times(true);
+        let spec = try_multidim_spec("quick").expect("registered preset");
+        let s = spec.table(&run_multidim(&spec, None));
         assert!(!s.contains("MISMATCH"), "{s}");
         assert!(s.contains("coordinatewise mean T"), "{s}");
     }

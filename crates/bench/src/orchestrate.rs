@@ -1,5 +1,6 @@
 //! The one [`Grid`] trait behind every registered experiment grid
-//! (`ensemble` | `multidim` | `dynamic_rates` | `adversary_search`).
+//! (`ensemble` | `multidim` | `dynamic_rates` | `adversary_search` |
+//! `paper`).
 //!
 //! A grid spec knows its registry name, base seed, cells, the labels of
 //! the rows one cell contributes, how to run one cell, and its table.
@@ -37,6 +38,7 @@ use crate::experiments::{
     try_dynamic_spec, try_ensemble_spec, try_multidim_spec, DynamicSpec, EnsembleSpec,
     MultidimSpec, SpecError,
 };
+use crate::paper::{try_paper_spec, PaperSpec};
 
 /// One experiment grid: a spec whose cells the sweep pool, the
 /// coordinator and the worker processes all run through
@@ -80,6 +82,7 @@ pub const GRID_REGISTRY: &[(&str, &str)] = &[
     (MultidimSpec::NAME, MultidimSpec::DESCRIPTION),
     (DynamicSpec::NAME, DynamicSpec::DESCRIPTION),
     (AdversarySpec::NAME, AdversarySpec::DESCRIPTION),
+    (PaperSpec::NAME, PaperSpec::DESCRIPTION),
 ];
 
 /// Runs a grid in process (`threads = None` ⇒ all cores; thread count
@@ -205,6 +208,8 @@ pub enum AnySpec {
     Dynamic(DynamicSpec),
     /// The adaptive adversary-search grid (`--grid adversary_search`).
     Adversary(AdversarySpec),
+    /// Every checked claim of the paper (`--grid paper`).
+    Paper(PaperSpec),
 }
 
 /// Evaluates `$body` with `$g` bound to the wrapped spec, whatever its
@@ -216,6 +221,7 @@ macro_rules! dispatch {
             AnySpec::Multidim($g) => $body,
             AnySpec::Dynamic($g) => $body,
             AnySpec::Adversary($g) => $body,
+            AnySpec::Paper($g) => $body,
         }
     };
 }
@@ -238,6 +244,7 @@ impl AnySpec {
             MultidimSpec::NAME => AnySpec::Multidim(try_multidim_spec(preset)?),
             DynamicSpec::NAME => AnySpec::Dynamic(try_dynamic_spec(preset)?),
             AdversarySpec::NAME => AnySpec::Adversary(try_adversary_spec(preset)?),
+            PaperSpec::NAME => AnySpec::Paper(try_paper_spec(preset)?),
             other => return Err(SpecError::UnknownGrid { got: other.into() }),
         })
     }

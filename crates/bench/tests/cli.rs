@@ -3,7 +3,8 @@
 //! registered grid, the plain, checkpoint/resume and spawned-worker
 //! runs pinned byte-identical to the grid's `ci/` golden JSON, plus
 //! `--replay`, injected worker failures, the metrics snapshot, and
-//! traces that do not depend on whether a checkpoint is kept.
+//! traces that do not depend on whether a checkpoint is kept. The
+//! `trace-report` reader is driven here too.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,6 +21,13 @@ fn sweep() -> Command {
     cmd
 }
 
+fn trace_report(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_trace-report"))
+        .args(args)
+        .output()
+        .expect("spawn the trace-report bin")
+}
+
 fn run(args: &[&str]) -> std::process::Output {
     sweep().args(args).output().expect("spawn the sweep bin")
 }
@@ -32,6 +40,7 @@ fn ci_golden(grid: &str) -> (&'static str, Vec<u8>) {
         "multidim" => ("quick", "golden_multidim.json"),
         "dynamic_rates" => ("quick", "golden_dynamic.json"),
         "adversary_search" => ("quick", "golden_adversary.json"),
+        "paper" => ("golden", "golden_paper.json"),
         other => panic!("registered grid `{other}` has no CI golden file"),
     };
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -439,4 +448,26 @@ fn metrics_snapshot_is_written_and_accounts_for_every_cell() {
     assert!(snap.contains("\"cells_done\": 16"), "{snap}");
     assert!(snap.contains("\"cells_failed\": 0"), "{snap}");
     std::fs::remove_file(&metrics).ok();
+}
+
+#[test]
+fn trace_report_sums_digest_counters_without_overflow() {
+    let out = trace_report(&["../../ci/golden_trace.jsonl"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The 16 `cell_fingerprint` digests sum past u64::MAX: the total is
+    // exact, not wrapped (and a debug build does not panic).
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains(" 152271859917617295963 "), "{report}");
+}
+
+#[test]
+fn trace_report_lane_without_a_value_is_a_usage_error() {
+    let out = trace_report(&["../../ci/golden_trace.jsonl", "--lane"]);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.trim(), "--lane needs a lane name");
 }

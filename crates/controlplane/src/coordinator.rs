@@ -105,7 +105,7 @@ pub struct RunConfig {
     /// Stop dispatching after this many completions *this session*
     /// (a deterministic stand-in for an external kill in tests).
     pub stop_after: Option<u64>,
-    /// External cancellation (signal handlers, metrics servers, …).
+    /// External cancellation (e.g. a signal handler).
     pub cancel: CancelToken,
     /// Structured tracing: forwarded to the dispatch [`Sweep`] (cell
     /// spans, pool profile) plus a profile-class `coordinate` span with

@@ -1,6 +1,6 @@
 //! Every closed-form bound of the paper, as documented functions, plus a
-//! machine-readable theorem registry (used by the bench harness to print
-//! Table 1 with paper-vs-measured columns).
+//! machine-readable theorem registry (each id names rows of the bench
+//! crate's `paper` grid, which measures every claim).
 //!
 //! All contraction rates are **per round**; a rate of 0 means exact
 //! agreement in finite time is possible.
@@ -161,7 +161,7 @@ pub enum BoundKind {
 }
 
 /// The theorem registry: one entry per quantitative claim of the paper,
-/// in paper order. The bench harness iterates this to label its rows.
+/// in paper order. The `paper` grid's row labels start with these ids.
 #[must_use]
 pub fn theorems() -> Vec<TheoremEntry> {
     use BoundKind::*;

@@ -37,9 +37,7 @@
 //!   sweep reports, the metrics snapshot and the worker protocol);
 //! * the in-memory query API on [`EventStream`]
 //!   ([`EventStream::events_for_span`], [`EventStream::gauge_values`],
-//!   [`summarize`] percentiles);
-//! * [`render_summary`] — plaintext counters in the style of (and
-//!   appended to) the control-plane metrics endpoint.
+//!   [`summarize`] percentiles).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +54,7 @@ pub mod trace;
 pub use clock::{Clock, NullClock, TickClock};
 pub use event::{Class, Event, EventKind};
 pub use jsonl::{parse_line, to_jsonl_content, to_jsonl_full, ParsedEvent};
-pub use query::{percentile, render_summary, summarize, HistogramSummary};
+pub use query::{percentile, summarize, HistogramSummary};
 pub use recorder::{Recorder, TimedEvent};
 pub use telemetry::RoundTelemetry;
 pub use trace::{lane, EventStream, TraceHandle, DEFAULT_RECORDER_CAP, PROFILE_SHARD};

@@ -1,15 +1,7 @@
-//! In-memory aggregation over event streams: histogram percentiles and
-//! the plaintext summary that extends the control-plane metrics
-//! endpoint.
+//! In-memory aggregation over event values: histogram percentiles.
 //!
-//! All ordering goes through [`f64::total_cmp`] and all grouping
-//! through `BTreeMap`, so every summary is a deterministic function of
-//! the stream.
-
-use std::collections::BTreeMap;
-
-use crate::event::EventKind;
-use crate::trace::EventStream;
+//! All ordering goes through [`f64::total_cmp`], so every summary is a
+//! deterministic function of its values.
 
 /// Percentile by the nearest-rank-on-sorted convention used across the
 /// repo's stats: index `q * (len - 1)` rounded half-up.
@@ -65,39 +57,9 @@ pub fn summarize(values: &[f64]) -> Option<HistogramSummary> {
     })
 }
 
-/// Renders a stream as plaintext lines in the Prometheus text style of
-/// `controlplane::metrics::render_plaintext` — the extension the live
-/// metrics endpoint appends when a trace is attached.
-///
-/// Span counts are completed-pair counts; names iterate in `BTreeMap`
-/// order, so the rendering is deterministic.
-#[must_use]
-pub fn render_summary(stream: &EventStream) -> String {
-    let mut spans: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in &stream.events {
-        match e.event.kind {
-            EventKind::SpanEnd => *spans.entry(e.event.name).or_insert(0) += 1,
-            EventKind::Counter => *counters.entry(e.event.name).or_insert(0) += e.event.value,
-            EventKind::SpanBegin | EventKind::Gauge => {}
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&format!("obs_events {}\n", stream.len()));
-    out.push_str(&format!("obs_dropped {}\n", stream.dropped));
-    for (name, n) in &spans {
-        out.push_str(&format!("obs_spans{{name=\"{name}\"}} {n}\n"));
-    }
-    for (name, total) in &counters {
-        out.push_str(&format!("obs_counter{{name=\"{name}\"}} {total}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{lane, TraceHandle};
 
     #[test]
     fn summarize_orders_with_total_cmp() {
@@ -121,22 +83,5 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 5.0, "4.5 rounds half-up");
         assert_eq!(percentile(&v, 0.9), 8.0, "8.1 rounds to 8");
         assert_eq!(percentile(&v, 1.0), 9.0);
-    }
-
-    #[test]
-    fn summary_lines_are_deterministic_and_sorted() {
-        let t = TraceHandle::enabled();
-        let mut r = t.recorder(0, lane::SWEEP).expect("enabled");
-        r.span_begin("cell", 0);
-        r.counter("messages", 0, 5);
-        r.counter("beam_candidates", 0, 2);
-        r.span_end("cell", 0);
-        t.commit(r);
-        let text = render_summary(&t.merged());
-        assert_eq!(
-            text,
-            "obs_events 4\nobs_dropped 0\nobs_spans{name=\"cell\"} 1\n\
-             obs_counter{name=\"beam_candidates\"} 2\nobs_counter{name=\"messages\"} 5\n"
-        );
     }
 }

@@ -91,7 +91,7 @@ pub mod pool;
 pub mod report;
 pub mod stats;
 
-pub use grid::{cartesian2, EnsembleCell, EnsembleGrid, InitDist, Topology};
+pub use grid::{EnsembleCell, EnsembleGrid, InitDist, Topology};
 pub use harness::{cell_seed, CellCtx, CellFailure, Sweep, SweepError, DEFAULT_BASE_SEED};
 pub use multidim::{MultidimCell, MultidimGrid, MultidimInitDist};
 pub use report::SweepReport;
