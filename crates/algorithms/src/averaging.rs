@@ -38,10 +38,7 @@ impl<const D: usize> Algorithm<D> for MeanValue {
 
     fn step(&self, _agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
         debug_assert!(!inbox.is_empty());
-        let mut acc = Point::ZERO;
-        for (_, p) in inbox {
-            acc += *p;
-        }
+        let acc = inbox.iter().fold(Point::ZERO, |acc, (_, p)| acc + *p);
         *state = acc * (1.0 / inbox.len() as f64);
     }
 
@@ -99,14 +96,15 @@ impl<const D: usize> Algorithm<D> for SelfWeightedAverage {
     }
 
     fn step(&self, agent: Agent, state: &mut Point<D>, inbox: Inbox<'_, Point<D>>, _round: u64) {
-        let mut acc = Point::ZERO;
-        let mut count = 0usize;
-        for (from, p) in inbox {
-            if from != agent {
-                acc += *p;
-                count += 1;
-            }
-        }
+        let (acc, count) = inbox
+            .iter()
+            .fold((Point::ZERO, 0usize), |(acc, count), (from, p)| {
+                if from == agent {
+                    (acc, count)
+                } else {
+                    (acc + *p, count + 1)
+                }
+            });
         if count > 0 {
             *state = *state * self.self_weight + acc * ((1.0 - self.self_weight) / count as f64);
         }

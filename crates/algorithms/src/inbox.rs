@@ -57,8 +57,15 @@ impl<'a, M> Inbox<'a, M> {
             // A partial last word may keep stray bits ≥ n; `len`/`iter`
             // clamp them (ascending order puts them strictly last).
             SenderSet::Words(words) => SenderSet::Words(&words[..words.len().min(n.div_ceil(64))]),
+            // Rows are strictly ascending, so an in-range last id keeps
+            // the whole row; only a row reaching past the slate is
+            // binary-searched.
             SenderSet::Sorted(ids) => {
-                let k = ids.partition_point(|&j| (j as usize) < n);
+                let k = if ids.last().is_none_or(|&j| (j as usize) < n) {
+                    ids.len()
+                } else {
+                    ids.partition_point(|&j| (j as usize) < n)
+                };
                 SenderSet::Sorted(&ids[..k])
             }
         };
@@ -150,10 +157,17 @@ impl<'a, M> Inbox<'a, M> {
     /// order.
     #[must_use]
     pub fn iter(&self) -> InboxIter<'a, M> {
+        let senders = match self.senders {
+            SenderSet::Mask(m) => Senders::Mask(m),
+            SenderSet::Sorted(ids) => Senders::Sorted(ids.iter()),
+            SenderSet::Words(_) => Senders::Words {
+                inner: self.senders.iter(),
+                remaining: self.len(),
+            },
+        };
         InboxIter {
-            inner: self.senders.iter(),
+            senders,
             slate: self.slate,
-            remaining: self.len(),
         }
     }
 }
@@ -169,15 +183,37 @@ impl<'a, M> IntoIterator for Inbox<'a, M> {
 
 /// Iterator over the `(sender, &message)` pairs of an [`Inbox`].
 ///
-/// `remaining` counts only in-slate senders; because every
-/// representation iterates ascending, the first `remaining` items of
-/// the underlying sender iterator are exactly the valid ones, so any
-/// stray out-of-slate bits are never reached.
+/// One concrete sender iterator per representation, over the one
+/// slate. `fold` (and so `sum`, `for_each`, …) matches the
+/// representation once per inbox rather than once per message, which
+/// is how the averaging kernels consume it.
 #[derive(Debug, Clone)]
 pub struct InboxIter<'a, M> {
-    inner: SenderIter<'a>,
+    senders: Senders<'a>,
     slate: &'a [M],
-    remaining: usize,
+}
+
+/// The not-yet-visited senders of an [`InboxIter`]. `Mask` and `Sorted`
+/// were clamped to the slate by [`Inbox::from_senders`]; only a word
+/// array can still carry stray members at or beyond the slate length,
+/// and since iteration is ascending they come strictly last, so
+/// `remaining` (the in-slate count) stops before reaching them.
+#[derive(Debug, Clone)]
+enum Senders<'a> {
+    Mask(u64),
+    Sorted(std::slice::Iter<'a, u32>),
+    Words {
+        inner: SenderIter<'a>,
+        remaining: usize,
+    },
+}
+
+/// Removes and returns the lowest set bit of a non-zero mask.
+#[inline]
+fn pop_lowest(m: &mut u64) -> Agent {
+    let j = m.trailing_zeros() as Agent;
+    *m &= *m - 1;
+    j
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
@@ -185,16 +221,51 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
     #[inline]
     fn next(&mut self) -> Option<(Agent, &'a M)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let j = self.inner.next().expect("sender count matches iterator");
+        let j = match &mut self.senders {
+            Senders::Mask(0) => return None,
+            Senders::Mask(m) => pop_lowest(m),
+            Senders::Sorted(ids) => *ids.next()? as Agent,
+            Senders::Words { remaining: 0, .. } => return None,
+            Senders::Words { inner, remaining } => {
+                *remaining -= 1;
+                inner.next()?
+            }
+        };
         Some((j, &self.slate[j]))
     }
 
+    #[inline]
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, Self::Item) -> B,
+    {
+        let slate = self.slate;
+        match self.senders {
+            Senders::Mask(mut m) => {
+                let mut acc = init;
+                while m != 0 {
+                    let j = pop_lowest(&mut m);
+                    acc = f(acc, (j, &slate[j]));
+                }
+                acc
+            }
+            Senders::Sorted(ids) => ids.fold(init, |acc, &j| {
+                let j = j as Agent;
+                f(acc, (j, &slate[j]))
+            }),
+            Senders::Words { inner, remaining } => inner
+                .take(remaining)
+                .fold(init, |acc, j| f(acc, (j, &slate[j]))),
+        }
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        let n = match &self.senders {
+            Senders::Mask(m) => m.count_ones() as usize,
+            Senders::Sorted(ids) => ids.len(),
+            Senders::Words { remaining, .. } => *remaining,
+        };
+        (n, Some(n))
     }
 }
 
@@ -332,6 +403,102 @@ mod tests {
         let slate: Vec<f64> = vec![0.0; 65];
         let inbox = Inbox::new(u64::MAX, &slate);
         let _ = inbox.contains(64);
+    }
+
+    /// Walks `inbox` twice — by `next()`, checking the size hint at
+    /// every step, and by `fold` — and asserts both give the same
+    /// pairs; also checks `fold` after one `next()` (the midpoint
+    /// pattern). Returns the sender ids.
+    fn walks_agree<M: PartialEq + std::fmt::Debug>(inbox: Inbox<'_, M>) -> Vec<Agent> {
+        let mut by_next = Vec::new();
+        let mut it = inbox.iter();
+        assert_eq!(it.size_hint(), (inbox.len(), Some(inbox.len())));
+        loop {
+            let left = by_next.len();
+            assert_eq!(it.len(), inbox.len() - left, "size hint after {left} items");
+            match it.next() {
+                Some(pair) => by_next.push(pair),
+                None => break,
+            }
+        }
+        assert_eq!(by_next.len(), inbox.len());
+        assert!(it.next().is_none(), "an exhausted iterator stays exhausted");
+
+        let by_fold = inbox.iter().fold(Vec::new(), |mut acc, pair| {
+            acc.push(pair);
+            acc
+        });
+        assert_eq!(by_fold, by_next);
+
+        let mut it = inbox.iter();
+        let head = it.next();
+        assert_eq!(head, by_next.first().copied());
+        let tail = it.fold(Vec::new(), |mut acc, pair| {
+            acc.push(pair);
+            acc
+        });
+        assert_eq!(tail, by_next.get(1..).unwrap_or_default());
+
+        by_next.into_iter().map(|(j, _)| j).collect()
+    }
+
+    #[test]
+    fn mask_next_and_fold_agree() {
+        let slate: Vec<i32> = (0..40).map(|j| 100 + j).collect();
+        let mask = (1u64 << 39) | (1 << 17) | 0b1011 | (0xF << 50);
+        let got = walks_agree(Inbox::new(mask, &slate));
+        assert_eq!(got, vec![0, 1, 3, 17, 39]);
+        assert_eq!(walks_agree(Inbox::new(0, &slate)), Vec::<Agent>::new());
+        let full: Vec<i32> = (0..64).collect();
+        assert_eq!(walks_agree(Inbox::new(u64::MAX, &full)).len(), 64);
+    }
+
+    #[test]
+    fn words_with_stray_bits_next_and_fold_agree() {
+        let slate: Vec<i32> = (0..70).collect();
+        // Bits up to 129 over a 70-slot slate: the clamp keeps two
+        // words, and bits 70..128 of the second one are stray.
+        let full = WordSet::full(130);
+        let got = walks_agree(Inbox::from_senders(&full, &slate));
+        assert_eq!(got, (0..70).collect::<Vec<_>>());
+        // A stray bit exactly at the slate length, after a real member.
+        let mut edge = WordSet::with_capacity(71);
+        for j in [2, 64, 69, 70] {
+            edge.insert(j);
+        }
+        assert_eq!(
+            walks_agree(Inbox::from_senders(&edge, &slate)),
+            vec![2, 64, 69]
+        );
+        // Only stray bits: an empty inbox.
+        let mut stray = WordSet::with_capacity(128);
+        stray.insert(100);
+        assert_eq!(
+            walks_agree(Inbox::from_senders(&stray, &slate)),
+            Vec::<Agent>::new()
+        );
+    }
+
+    #[test]
+    fn sorted_next_and_fold_agree() {
+        let slate: Vec<i32> = (0..10).map(|j| -j).collect();
+        // In range: the O(1) clamp keeps the whole row.
+        let row: Vec<u32> = vec![0, 4, 5, 9];
+        let got = walks_agree(Inbox::from_senders(SenderSet::Sorted(&row), &slate));
+        assert_eq!(got, vec![0, 4, 5, 9]);
+        // Ids at and beyond the slate length: the binary-search path.
+        let long: Vec<u32> = vec![1, 3, 9, 10, 12, 400];
+        let inbox = Inbox::from_senders(SenderSet::Sorted(&long), &slate);
+        assert_eq!(inbox.len(), 3);
+        assert_eq!(walks_agree(inbox), vec![1, 3, 9]);
+        assert_eq!(
+            walks_agree(Inbox::from_senders(SenderSet::Sorted(&[10, 11]), &slate)),
+            Vec::<Agent>::new()
+        );
+        assert_eq!(
+            walks_agree(Inbox::from_senders(SenderSet::Sorted(&[]), &slate)),
+            Vec::<Agent>::new()
+        );
     }
 
     #[test]

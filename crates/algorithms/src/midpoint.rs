@@ -39,12 +39,7 @@ impl<const D: usize> Algorithm<D> for Midpoint {
         debug_assert!(!inbox.is_empty(), "self-loop guarantees a message");
         let mut it = inbox.iter();
         let (_, &first) = it.next().expect("self-loop guarantees a message");
-        let mut lo = first;
-        let mut hi = first;
-        for (_, p) in it {
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
+        let (lo, hi) = it.fold((first, first), |(lo, hi), (_, p)| (lo.min(p), hi.max(p)));
         *state = lo.midpoint(&hi);
     }
 

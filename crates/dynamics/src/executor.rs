@@ -30,8 +30,9 @@ pub type ShardedExecution<K> = Execution<K, 1>;
 /// [`Digraph`](consensus_digraph::Digraph) (`n ≤ 64`, the type's own
 /// cap) or a [`CsrDigraph`](consensus_digraph::CsrDigraph) with no agent
 /// cap. With [`Execution::threads`] above 1, each round updates the
-/// agents in [`Execution::chunk_size`] chunks on the work-stealing pool
-/// ([`consensus_pool::for_each_chunk_mut`]). Every agent's update reads
+/// agents in [`Execution::chunk_size`] chunks on scoped pool threads
+/// ([`consensus_pool::for_each_chunk_mut`], which hands the chunks out
+/// from one shared queue and never steals). Every agent's update reads
 /// only the shared slate of the previous round and writes only its own
 /// state and output slot, so results are **bit-identical at every
 /// thread count and chunk size**; `tests/large_executor.rs` and
