@@ -64,7 +64,8 @@ pub struct WindowedState<const D: usize> {
 /// class of algorithms the paper's lower bounds also cover — algorithms
 /// whose output depends on more than the current round's messages (§1,
 /// violation (ii)). Theorem 2 says the extra memory cannot beat the `1/2`
-/// bound in deaf-closed models; the ablation bench demonstrates this.
+/// bound in deaf-closed models; the ablation rows of the `paper`
+/// experiment grid demonstrate this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowedMidpoint {
     window: usize,

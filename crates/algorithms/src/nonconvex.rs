@@ -6,8 +6,8 @@
 //! bounds of Theorems 1, 2, 3 and 5 hold for **arbitrary** algorithms —
 //! including ones that leave the convex hull of received values
 //! (violating (i)) or use memory/higher-order filters (violating (ii)).
-//! The ablation benches run these against the proof adversaries and show
-//! they cannot beat the bounds either.
+//! The ablation rows of the `paper` experiment grid run these against the
+//! proof adversaries and show they cannot beat the bounds either.
 
 use std::borrow::Cow;
 
@@ -108,8 +108,8 @@ pub struct OvershootState<const D: usize> {
 /// *overshoots* past the midpoint and can leave the convex hull of the
 /// received values — a violation of the convex combination property (i).
 /// The paper's Theorem 2 predicts overshooting cannot beat the `1/2`
-/// contraction bound in deaf-closed models; the `ablation_overshoot`
-/// bench sweeps `κ` and confirms it.
+/// contraction bound in deaf-closed models; the ablation rows of the
+/// `paper` experiment grid sweep `κ` and confirm it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overshoot {
     kappa: f64,

@@ -7,7 +7,7 @@
 //! this is fine for the reproduction because the paper's bounds are
 //! worst-case over the adversary, and worst-case patterns are generated
 //! by the explicit proof adversaries, not by sampling. Random patterns
-//! only provide typical-case context in benches and examples.
+//! only provide typical-case context in experiment grids and examples.
 
 use consensus_digraph::{families, Digraph};
 use rand::prelude::IndexedRandom;

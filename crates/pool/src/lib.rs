@@ -45,8 +45,9 @@ use std::sync::{Arc, Mutex};
 use consensus_obs::{Clock, NullClock};
 
 /// A shared cancellation flag: cloning yields handles onto the same
-/// flag, so a coordinator can hand one to the pool (and a metrics
-/// server, and a signal hook) and stop them all with one call.
+/// flag, so a coordinator can hand one to the pool, keep one for its
+/// own stop conditions (a `--stop-after` limit, a failed checkpoint
+/// write) and give one to a signal hook, then stop the run with one call.
 ///
 /// Cancellation is *cooperative draining*: a cancelled pool run stops
 /// dispatching queued cells but lets in-flight cells finish, so every

@@ -100,18 +100,20 @@ fn check_adversary<A: Algorithm<1, State: Sync, Msg: Sync> + Clone + Sync>(
     }
 }
 
+/// `n = 64` fills every bit of the dense `u64` in-neighbourhood mask.
 #[test]
 fn all_algorithms_bit_identical_under_patterns() {
-    let n = 6;
-    check_patterns(Midpoint, n);
-    check_patterns(MeanValue, n);
-    check_patterns(TwoAgentThirds, n);
-    check_patterns(SelfWeightedAverage::new(0.4), n);
-    check_patterns(WindowedMidpoint::new(3), n);
-    check_patterns(AmortizedMidpoint::for_agents(n), n);
-    check_patterns(Overshoot::new(0.35), n);
-    check_patterns(TrimmedMean::new(1), n);
-    check_patterns(QuantizedMidpoint::new(1.0 / 64.0), n);
+    for n in [6, 64] {
+        check_patterns(Midpoint, n);
+        check_patterns(MeanValue, n);
+        check_patterns(TwoAgentThirds, n);
+        check_patterns(SelfWeightedAverage::new(0.4), n);
+        check_patterns(WindowedMidpoint::new(3), n);
+        check_patterns(AmortizedMidpoint::for_agents(n), n);
+        check_patterns(Overshoot::new(0.35), n);
+        check_patterns(TrimmedMean::new(1), n);
+        check_patterns(QuantizedMidpoint::new(1.0 / 64.0), n);
+    }
 }
 
 #[test]
