@@ -9,6 +9,11 @@
 use consensus_digraph::Digraph;
 use consensus_netmodel::sampler::GraphSampler;
 
+// The one Bernoulli-edge loop, for pattern generators built on this crate
+// (the `consensus-dynet` adversaries) that do not depend on
+// `consensus-netmodel` themselves.
+pub use consensus_netmodel::sampler::bernoulli_edges;
+
 /// A lazily generated communication pattern.
 pub trait PatternSource {
     /// The graph for round `round` (1-based, matching the paper).

@@ -1,7 +1,8 @@
 //! The T-interval-connectivity adversary (arXiv:1408.0620).
 
 use consensus_algorithms::Algorithm;
-use consensus_digraph::Digraph;
+use consensus_digraph::{Digraph, MAX_AGENTS};
+use consensus_dynamics::pattern::bernoulli_edges;
 use consensus_dynamics::scenario::Driver;
 use consensus_dynamics::Execution;
 use rand::rngs::StdRng;
@@ -107,23 +108,18 @@ impl TIntervalAdversary {
     pub fn emit(&mut self) -> Digraph {
         let residue = (self.emitted % self.t as u64) as usize;
         self.emitted += 1;
-        let mut g = Digraph::empty(self.n);
+        let mut masks = [0; MAX_AGENTS];
         for (pos, &a) in self.order.iter().enumerate().skip(1) {
             if self.level[a] == residue {
                 let parent = self.order[self.rng.random_range(0..pos)];
-                g.add_edge(parent, a);
+                masks[a] |= 1 << parent;
             }
         }
+        let masks = &mut masks[..self.n];
         if self.extra_density > 0.0 {
-            for from in 0..self.n {
-                for to in 0..self.n {
-                    if from != to && self.rng.random_bool(self.extra_density) {
-                        g.add_edge(from, to);
-                    }
-                }
-            }
+            bernoulli_edges(masks, self.extra_density, &mut self.rng);
         }
-        g
+        Digraph::from_in_masks(masks).expect("1..=64 agents")
     }
 }
 
@@ -136,11 +132,50 @@ impl<A: Algorithm<D>, const D: usize> Driver<A, D> for TIntervalAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     fn union(graphs: &[Digraph]) -> Digraph {
         graphs[1..]
             .iter()
             .fold(graphs[0].clone(), |acc, g| acc.union(g))
+    }
+
+    /// [`TIntervalAdversary::emit`] with one `random_bool` per extra
+    /// pair: the reference the batched emit must match.
+    fn reference_emit(adv: &mut TIntervalAdversary) -> Digraph {
+        let residue = (adv.emitted % adv.t as u64) as usize;
+        adv.emitted += 1;
+        let mut g = Digraph::empty(adv.n);
+        for (pos, &a) in adv.order.iter().enumerate().skip(1) {
+            if adv.level[a] == residue {
+                let parent = adv.order[adv.rng.random_range(0..pos)];
+                g.add_edge(parent, a);
+            }
+        }
+        if adv.extra_density > 0.0 {
+            for from in 0..adv.n {
+                for to in 0..adv.n {
+                    if from != to && adv.rng.random_bool(adv.extra_density) {
+                        g.add_edge(from, to);
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn emit_matches_per_pair_reference() {
+        for n in [1, 2, 7, 33, 64] {
+            for density in [0.0, 1e-300, 0.15, 0.5, 1.0] {
+                let mut fast = TIntervalAdversary::new(n, 3, 5).with_extras(density);
+                let mut slow = fast.clone();
+                for _ in 0..4 {
+                    assert_eq!(fast.emit(), reference_emit(&mut slow), "n={n} p={density}");
+                }
+                assert_eq!(fast.rng.next_u64(), slow.rng.next_u64(), "stream position");
+            }
+        }
     }
 
     #[test]

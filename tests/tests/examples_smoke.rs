@@ -5,7 +5,7 @@
 //! (cargo serialises concurrent access to the target directory, so this
 //! is safe under `cargo test`).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The workspace root, two levels up from this package's manifest.
@@ -13,6 +13,16 @@ fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .expect("tests package sits directly under the workspace root")
+}
+
+/// The directory the spawned `cargo` builds into: `$CARGO_TARGET_DIR`
+/// when set (a relative one is taken from the workspace root, where
+/// `cargo` runs), `target` otherwise.
+fn target_dir() -> PathBuf {
+    let dir = std::env::var_os("CARGO_TARGET_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| PathBuf::from("target"), PathBuf::from);
+    workspace_root().join(dir)
 }
 
 fn cargo() -> Command {
@@ -41,7 +51,7 @@ fn all_examples_build() {
         "multidim_midpoint",
         "dynamic_networks",
     ] {
-        let bin = workspace_root().join("target/debug/examples").join(name);
+        let bin = target_dir().join("debug/examples").join(name);
         assert!(
             bin.exists(),
             "example binary {name} was not produced at {bin:?}"
